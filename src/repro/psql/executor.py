@@ -447,21 +447,20 @@ class _Execution:
         """Translate a spatial operator into R-tree searches + refinement."""
         # Both in-memory RTree and DiskSpatialIndex accept the stats
         # recorder; disk trees report page touches through it.
-        kwargs = {"stats": stats} if stats is not None else {}
         if op == "covered-by":
-            rids = tree.search_within(window, **kwargs)
+            rids = tree.search_within(window, stats=stats)
         elif op == "intersecting":
-            rids = tree.search(window, **kwargs)
+            rids = tree.search(window, stats=stats)
         elif op == "overlapping":
-            rids = [rid for rid in tree.search(window, **kwargs)
+            rids = [rid for rid in tree.search(window, stats=stats)
                     if mbr_of_value(relation.get(rid)[column])
                     .overlaps_interior(window)]
         elif op == "covering":
-            rids = [rid for rid in tree.search(window, **kwargs)
+            rids = [rid for rid in tree.search(window, stats=stats)
                     if mbr_of_value(relation.get(rid)[column])
                     .contains(window)]
         elif op == "disjoined":
-            hit = set(tree.search(window, **kwargs))
+            hit = set(tree.search(window, stats=stats))
             rids = [rid for rid, _row in relation.rows() if rid not in hit]
         else:  # pragma: no cover - the parser validates operator names
             raise PsqlSemanticError(f"unknown spatial operator {op!r}")

@@ -64,21 +64,21 @@ class DiskSpatialIndex:
 
     # -- the query API the executor drives ----------------------------------
 
-    def search(self, window: Rect, **kwargs) -> list[int]:
+    def search(self, window: Rect, stats=None) -> list[int]:
         with self._lock:
-            return self._tree.search(window, **kwargs)
+            return self._tree.search(window, stats)
 
-    def search_within(self, window: Rect, **kwargs) -> list[int]:
+    def search_within(self, window: Rect, stats=None) -> list[int]:
         with self._lock:
-            return self._tree.search_within(window, **kwargs)
+            return self._tree.search_within(window, stats)
 
-    def point_query(self, point: Point, **kwargs) -> list[int]:
+    def point_query(self, point: Point, stats=None) -> list[int]:
         with self._lock:
-            return self._tree.point_query(point, **kwargs)
+            return self._tree.point_query(point, stats)
 
-    def knn(self, point: Point, k: int = 1, **kwargs):
+    def knn(self, point: Point, k: int = 1, stats=None):
         with self._lock:
-            return self._tree.knn(point, k, **kwargs)
+            return self._tree.knn(point, k, stats)
 
     def entry_rects(self) -> list[tuple[int, bool, Rect]]:
         """Snapshot of ``(level, is_leaf_entry, rect)`` for the planner."""

@@ -179,7 +179,7 @@ def local_repack_disk(tree, region: Optional[Rect] = None,
 
     target_page = path[-1]
     nodes_before = tree.subtree_node_count(target_page)
-    old_height = _subtree_height(tree, target_page)
+    old_height = tree.subtree_height(target_page)
     min_fill = min(tree.min_entries, tree.max_entries // 2)
     with obs.timer("rtree.repack.disk"):
         raw = tree._collect_leaf_entries(target_page)  # frees old pages
@@ -256,16 +256,6 @@ def _redistribute_tail(groups: list[list[Entry]], min_fill: int) -> None:
         combined = groups[-2] + groups[-1]
         half = (len(combined) + 1) // 2
         groups[-2:] = [combined[:half], combined[half:]]
-
-
-def _subtree_height(tree, page_no: int) -> int:
-    """Edges from *page_no* down to the leaf level (disk walk)."""
-    height = 0
-    node = tree._read_node(page_no)
-    while not node.is_leaf:
-        node = tree._read_node(node.entries[0][4])
-        height += 1
-    return height
 
 
 def _smallest_subtree_pages(tree, region: Rect) -> list[int]:

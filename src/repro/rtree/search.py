@@ -29,15 +29,8 @@ class SearchStats:
     entries_tested: int = 0
     results: int = 0
 
-    def record_node(self, node: Node) -> None:
-        self.nodes_visited += 1
-        if node.is_leaf:
-            self.leaves_visited += 1
-        self.entries_tested += len(node.entries)
-
-    def record_page(self, is_leaf: bool, nentries: int) -> None:
-        """Page-level twin of :meth:`record_node` for disk trees, whose
-        zero-copy traversals never materialise a node object."""
+    def record_visit(self, is_leaf: bool, nentries: int) -> None:
+        """Count one node (or disk page) visit holding *nentries*."""
         self.nodes_visited += 1
         if is_leaf:
             self.leaves_visited += 1
@@ -54,7 +47,7 @@ def window_search(tree: RTree, window: Rect,
                   stats: SearchStats | None = None) -> list[Any]:
     """All objects whose MBR intersects *window*, with access accounting."""
     stats = stats if stats is not None else SearchStats()
-    results = tree.search(window, on_node=stats.record_node)
+    results = tree.search(window, stats=stats)
     stats.results += len(results)
     return results
 
@@ -63,7 +56,7 @@ def window_search_within(tree: RTree, window: Rect,
                          stats: SearchStats | None = None) -> list[Any]:
     """Objects entirely within *window* — the paper's SEARCH procedure."""
     stats = stats if stats is not None else SearchStats()
-    results = tree.search_within(window, on_node=stats.record_node)
+    results = tree.search_within(window, stats=stats)
     stats.results += len(results)
     return results
 
@@ -72,7 +65,7 @@ def point_search(tree: RTree, point: Point,
                  stats: SearchStats | None = None) -> list[Any]:
     """Objects whose MBR contains *point* — Table 1's probe query."""
     stats = stats if stats is not None else SearchStats()
-    results = tree.point_query(point, on_node=stats.record_node)
+    results = tree.point_query(point, stats=stats)
     stats.results += len(results)
     return results
 
@@ -132,7 +125,7 @@ def knn_search(tree: RTree, query: Point, k: int = 1,
             continue
         node = item.node
         assert node is not None
-        stats.record_node(node)
+        stats.record_visit(node.is_leaf, len(node.entries))
         for e in node.entries:
             counter += 1
             dist = e.rect.min_distance_to(qrect)

@@ -16,7 +16,8 @@ The implementation follows Guttman 1984 faithfully:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional, Protocol, Sequence, Union
+from typing import (TYPE_CHECKING, Any, Callable, Iterator, Optional,
+                    Sequence, Union)
 
 from repro import obs
 from repro.geometry.point import Point
@@ -24,30 +25,8 @@ from repro.geometry.rect import Rect
 from repro.rtree.node import Entry, Node
 from repro.rtree.split import SplitStrategy, get_split_strategy
 
-
-class NodeRecorder(Protocol):
-    """Anything with a ``record_node`` method — e.g.
-    :class:`repro.rtree.search.SearchStats` — usable as the ``stats``
-    kwarg of the query methods."""
-
-    def record_node(self, node: Node) -> None: ...  # pragma: no cover
-
-
-def _visit_callback(on_node: Optional[Callable[[Node], None]],
-                    stats: Optional[NodeRecorder],
-                    ) -> Optional[Callable[[Node], None]]:
-    """Compose the legacy *on_node* hook with a stats recorder."""
-    if stats is None:
-        return on_node
-    record = stats.record_node
-    if on_node is None:
-        return record
-
-    def both(node: Node) -> None:
-        on_node(node)
-        record(node)
-
-    return both
+if TYPE_CHECKING:
+    from repro.rtree.search import SearchStats
 
 
 class RTree:
@@ -293,42 +272,47 @@ class RTree:
     # -- SEARCH ------------------------------------------------------------------
 
     def search(self, window: Rect,
-               on_node: Optional[Callable[[Node], None]] = None,
-               stats: Optional[NodeRecorder] = None) -> list[Any]:
+               stats: Optional[SearchStats] = None) -> list[Any]:
         """All object identifiers whose MBR intersects *window*.
 
         This is the paper's SEARCH procedure with INTERSECTS used at every
-        level (the common R-tree window query).  *on_node* is invoked once
-        per node visited, which is how the benchmarks count node accesses;
-        *stats* is any object with a ``record_node(node)`` method (e.g.
-        :class:`~repro.rtree.search.SearchStats`) recorded the same way.
+        level (the common R-tree window query).  *stats*, when given,
+        records every node visited — how the benchmarks count node
+        accesses.
         """
-        return self._search(window, leaf_test=Rect.intersects,
-                            on_node=_visit_callback(on_node, stats))
+        return self._search(window, Rect.intersects, stats)
 
     def search_within(self, window: Rect,
-                      on_node: Optional[Callable[[Node], None]] = None,
-                      stats: Optional[NodeRecorder] = None,
-                      ) -> list[Any]:
+                      stats: Optional[SearchStats] = None) -> list[Any]:
         """Identifiers of objects entirely WITHIN *window*.
 
         Matches the paper's pseudo-code exactly: INTERSECTS prunes the
         descent, WITHIN filters at the leaves.
         """
-        return self._search(window, leaf_test=Rect.contains,
-                            on_node=_visit_callback(on_node, stats))
+        return self._search(window, Rect.contains, stats)
+
+    def point_query(self, point: Point,
+                    stats: Optional[SearchStats] = None) -> list[Any]:
+        """Identifiers of objects whose MBR contains *point*.
+
+        Table 1's search workload — "Is point (x1, y1) contained in the
+        database?" — is this query: a window search over the degenerate
+        rectangle, whose closed INTERSECTS test is exactly point
+        containment.
+        """
+        return self._search(Rect.from_point(point), Rect.intersects, stats)
 
     def _search(self, window: Rect,
                 leaf_test: Callable[[Rect, Rect], bool],
-                on_node: Optional[Callable[[Node], None]]) -> list[Any]:
+                stats: Optional[SearchStats]) -> list[Any]:
         results: list[Any] = []
         stack = [self.root]
         track = obs.ENABLED
         nodes = leaves = tests = pruned = 0
         while stack:
             node = stack.pop()
-            if on_node is not None:
-                on_node(node)
+            if stats is not None:
+                stats.record_visit(node.is_leaf, len(node.entries))
             if track:
                 nodes += 1
                 tests += len(node.entries)
@@ -355,58 +339,13 @@ class RTree:
             reg.bump("rtree.search.results", len(results))
         return results
 
-    def point_query(self, point: Point,
-                    on_node: Optional[Callable[[Node], None]] = None,
-                    stats: Optional[NodeRecorder] = None,
-                    ) -> list[Any]:
-        """Identifiers of objects whose MBR contains *point*.
-
-        Table 1's search workload — "Is point (x1, y1) contained in the
-        database?" — is this query.
-        """
-        on_node = _visit_callback(on_node, stats)
-        results: list[Any] = []
-        stack = [self.root]
-        track = obs.ENABLED
-        nodes = leaves = tests = pruned = 0
-        while stack:
-            node = stack.pop()
-            if on_node is not None:
-                on_node(node)
-            if track:
-                nodes += 1
-                tests += len(node.entries)
-                if node.is_leaf:
-                    leaves += 1
-            for e in node.entries:
-                if e.rect.contains_point(point):
-                    if node.is_leaf:
-                        results.append(e.oid)
-                    else:
-                        assert e.child is not None
-                        stack.append(e.child)
-                elif track and not node.is_leaf:
-                    pruned += 1
-        if track:
-            reg = obs.active()
-            reg.bump("rtree.search.queries")
-            reg.bump("rtree.search.nodes_visited", nodes)
-            reg.bump("rtree.search.leaves_visited", leaves)
-            reg.bump("rtree.search.mbr_tests", tests)
-            reg.bump("rtree.search.pruned_subtrees", pruned)
-            reg.bump("rtree.search.results", len(results))
-        return results
-
     def count_query_accesses(self, point: Point) -> int:
         """Nodes visited by a point query — one sample of Table 1's A."""
-        count = 0
+        from repro.rtree.search import SearchStats
 
-        def bump(_node: Node) -> None:
-            nonlocal count
-            count += 1
-
-        self.point_query(point, on_node=bump)
-        return count
+        stats = SearchStats()
+        self.point_query(point, stats=stats)
+        return stats.nodes_visited
 
     # -- validation -----------------------------------------------------------
 

@@ -45,6 +45,9 @@ from repro import obs
 
 __all__ = ["PsqlServer", "ServerConfig"]
 
+#: seconds stop() waits for connection handlers to see EOF and return
+_HANDLER_EXIT_TIMEOUT = 1.0
+
 
 @dataclass
 class ServerConfig:
@@ -76,6 +79,8 @@ class _Connection:
     peer: str
     session: Session
     writer: asyncio.StreamWriter
+    #: the task running this connection's handler
+    task: asyncio.Task
     queries: int = 0
     errors: int = 0
     opened_at: float = field(default_factory=time.monotonic)
@@ -176,8 +181,15 @@ class PsqlServer:
         while ((self._inflight or self._active_responses)
                and time.monotonic() < deadline):
             await asyncio.sleep(0.01)
-        for conn in list(self._connections.values()):
+        # Closing a writer feeds EOF to its handler's pending read; wait
+        # (bounded) for the handlers to return, so asyncio.run never
+        # has to cancel one mid-read.
+        conns = list(self._connections.values())
+        for conn in conns:
             conn.writer.close()
+        if conns:
+            await asyncio.wait([conn.task for conn in conns],
+                               timeout=_HANDLER_EXIT_TIMEOUT)
         self._connections.clear()
         self.service.close(wait=False)
 
@@ -248,7 +260,8 @@ class PsqlServer:
             session_id=sid,
             peer=str(peername) if peername else "?",
             session=self.service.make_session(),
-            writer=writer)
+            writer=writer,
+            task=asyncio.current_task())
         self._connections[sid] = conn
         self.registry.bump("server.sessions.opened")
         try:

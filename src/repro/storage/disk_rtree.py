@@ -169,23 +169,11 @@ class DiskRTree:
 
     def depth(self) -> int:
         """Edges from the root down to the leaf level."""
-        d = 0
-        node = self._read_node(self._root_page)
-        while not node.is_leaf:
-            node = self._read_node(node.entries[0][4])
-            d += 1
-        return d
+        return self.subtree_height(self._root_page)
 
     def node_count(self) -> int:
         """Total nodes, root included (walks the whole tree)."""
-        count = 0
-        stack = [self._root_page]
-        while stack:
-            node = self._read_node(stack.pop())
-            count += 1
-            if not node.is_leaf:
-                stack.extend(e[4] for e in node.entries)
-        return count
+        return self.subtree_node_count(self._root_page)
 
     def leaf_items(self) -> Iterable[tuple[Rect, int]]:
         """Yield every stored ``(rect, oid)`` pair (leaf-level scan).
@@ -213,6 +201,15 @@ class DiskRTree:
             if not node.is_leaf:
                 stack.extend(e[4] for e in node.entries)
         return count
+
+    def subtree_height(self, page_no: int) -> int:
+        """Edges from *page_no* down to the leaf level."""
+        height = 0
+        node = self._read_node(page_no)
+        while not node.is_leaf:
+            node = self._read_node(node.entries[0][4])
+            height += 1
+        return height
 
     def entry_rects(self) -> list[tuple[int, bool, Rect]]:
         """``(level, is_leaf_entry, rect)`` for every entry, level order.
@@ -316,81 +313,39 @@ class DiskRTree:
 
     # -- search ---------------------------------------------------------------
 
-    def search(self, window: Rect, stats=None,
-               zero_copy: bool = True) -> list[int]:
+    def search(self, window: Rect, stats=None) -> list[int]:
         """Object ids whose rectangle intersects *window*.
 
-        The default traversal is **zero-copy**: entries are iterated by
-        ``struct.iter_unpack`` over a memoryview of the buffered page
-        payload and the intersection test is inlined on the raw floats —
-        no :class:`NodeRecord`, no per-entry :class:`Rect`.  Pass
-        ``zero_copy=False`` to force the object path (the equivalence
-        tests compare the two).  *stats* is any object with a
-        ``record_page(is_leaf, nentries)`` method, e.g.
-        :class:`~repro.rtree.search.SearchStats`.
+        *stats*, when given, records every page visited (e.g. a
+        :class:`~repro.rtree.search.SearchStats`).
         """
-        if not zero_copy:
-            return self._search_objects(window, stats)
-        out: list[int] = []
-        stack = [self._root_page]
-        track = obs.ENABLED
-        nodes = 0
-        wx1, wy1, wx2, wy2 = window
-        pool_get = self.pool.get
-        while stack:
-            is_leaf, count, entries = iter_node_entries(
-                pool_get(stack.pop()))
-            nodes += 1
-            if stats is not None:
-                stats.record_page(is_leaf, count)
-            hits = out if is_leaf else stack
-            for x1, y1, x2, y2, ptr in entries:
-                if x1 <= wx2 and wx1 <= x2 and y1 <= wy2 and wy1 <= y2:
-                    hits.append(ptr)
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
-        return out
+        return self._search(window, False, stats)
 
-    def _search_objects(self, window: Rect, stats=None) -> list[int]:
-        """The NodeRecord-materialising twin of :meth:`search`."""
-        out: list[int] = []
-        stack = [self._root_page]
-        track = obs.ENABLED
-        nodes = 0
-        while stack:
-            node = self._read_node(stack.pop())
-            nodes += 1
-            if stats is not None:
-                stats.record_page(node.is_leaf, len(node.entries))
-            for e in node.entries:
-                if _entry_rect(e).intersects(window):
-                    if node.is_leaf:
-                        out.append(e[4])
-                    else:
-                        stack.append(e[4])
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
-        return out
-
-    def search_within(self, window: Rect, stats=None,
-                      zero_copy: bool = True) -> list[int]:
+    def search_within(self, window: Rect, stats=None) -> list[int]:
         """Object ids whose rectangle lies entirely within *window*.
 
         The paper's SEARCH semantics (INTERSECTS to descend, WITHIN at
         the leaves), mirroring :meth:`repro.rtree.tree.RTree.search_within`.
-        See :meth:`search` for the *stats* / *zero_copy* knobs.
         """
-        if not zero_copy:
-            return self._search_within_objects(window, stats)
+        return self._search(window, True, stats)
+
+    def point_query(self, point: Point, stats=None) -> list[int]:
+        """Object ids whose rectangle contains *point*: a window search
+        over the degenerate rectangle, whose closed INTERSECTS test is
+        exactly point containment."""
+        return self._search(Rect.from_point(point), False, stats)
+
+    def _search(self, window: Rect, within: bool, stats) -> list[int]:
+        """The one traversal kernel behind every window and point query.
+
+        Entries are iterated by ``struct.iter_unpack`` over a memoryview
+        of the buffered page payload and the tests are inlined on the
+        raw floats — no :class:`NodeRecord`, no per-entry :class:`Rect`.
+        INTERSECTS prunes the descent; leaves apply WITHIN when *within*
+        is set, INTERSECTS otherwise.
+        """
         out: list[int] = []
         stack = [self._root_page]
-        track = obs.ENABLED
         nodes = 0
         wx1, wy1, wx2, wy2 = window
         pool_get = self.pool.get
@@ -399,127 +354,44 @@ class DiskRTree:
                 pool_get(stack.pop()))
             nodes += 1
             if stats is not None:
-                stats.record_page(is_leaf, count)
-            if is_leaf:
+                stats.record_visit(is_leaf, count)
+            if is_leaf and within:
                 for x1, y1, x2, y2, ptr in entries:
                     if wx1 <= x1 and x2 <= wx2 and wy1 <= y1 and y2 <= wy2:
                         out.append(ptr)
             else:
+                hits = out if is_leaf else stack
                 for x1, y1, x2, y2, ptr in entries:
                     if x1 <= wx2 and wx1 <= x2 and y1 <= wy2 and wy1 <= y2:
-                        stack.append(ptr)
-        if track:
+                        hits.append(ptr)
+        if obs.ENABLED:
             reg = obs.active()
             reg.bump("storage.disk_rtree.queries")
             reg.bump("storage.disk_rtree.nodes_read", nodes)
             reg.bump("storage.disk_rtree.results", len(out))
         return out
 
-    def _search_within_objects(self, window: Rect,
-                               stats=None) -> list[int]:
-        """The NodeRecord-materialising twin of :meth:`search_within`."""
-        out: list[int] = []
-        stack = [self._root_page]
-        track = obs.ENABLED
-        nodes = 0
-        while stack:
-            node = self._read_node(stack.pop())
-            nodes += 1
-            if stats is not None:
-                stats.record_page(node.is_leaf, len(node.entries))
-            for e in node.entries:
-                if node.is_leaf:
-                    if window.contains(_entry_rect(e)):
-                        out.append(e[4])
-                elif _entry_rect(e).intersects(window):
-                    stack.append(e[4])
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
-        return out
-
-    def point_query(self, point: Point, stats=None,
-                    zero_copy: bool = True) -> list[int]:
-        """Object ids whose rectangle contains *point*.
-
-        See :meth:`search` for the *stats* / *zero_copy* knobs.
-        """
-        if not zero_copy:
-            return self._point_query_objects(point, stats)
-        out: list[int] = []
-        stack = [self._root_page]
-        track = obs.ENABLED
-        nodes = 0
-        px, py = point.x, point.y
-        pool_get = self.pool.get
-        while stack:
-            is_leaf, count, entries = iter_node_entries(
-                pool_get(stack.pop()))
-            nodes += 1
-            if stats is not None:
-                stats.record_page(is_leaf, count)
-            hits = out if is_leaf else stack
-            for x1, y1, x2, y2, ptr in entries:
-                if x1 <= px <= x2 and y1 <= py <= y2:
-                    hits.append(ptr)
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
-        return out
-
-    def _point_query_objects(self, point: Point, stats=None) -> list[int]:
-        """The NodeRecord-materialising twin of :meth:`point_query`."""
-        out: list[int] = []
-        stack = [self._root_page]
-        track = obs.ENABLED
-        nodes = 0
-        while stack:
-            node = self._read_node(stack.pop())
-            nodes += 1
-            if stats is not None:
-                stats.record_page(node.is_leaf, len(node.entries))
-            for e in node.entries:
-                if _entry_rect(e).contains_point(point):
-                    if node.is_leaf:
-                        out.append(e[4])
-                    else:
-                        stack.append(e[4])
-        if track:
-            reg = obs.active()
-            reg.bump("storage.disk_rtree.queries")
-            reg.bump("storage.disk_rtree.nodes_read", nodes)
-            reg.bump("storage.disk_rtree.results", len(out))
-        return out
-
-    def knn(self, point: Point, k: int = 1, stats=None,
-            zero_copy: bool = True) -> list[tuple[float, int]]:
+    def knn(self, point: Point, k: int = 1,
+            stats=None) -> list[tuple[float, int]]:
         """The *k* objects nearest *point*, as ``(distance, oid)`` pairs.
 
         Best-first MINDIST branch-and-bound over pages (the disk-resident
         version of :func:`repro.rtree.search.knn_search`); only pages
-        whose MBR could contain a result are faulted in.  The default
-        zero-copy traversal computes MINDIST on the raw entry floats;
-        both paths produce bit-identical distances
-        (:meth:`~repro.geometry.rect.Rect.min_distance_to` of the
-        degenerate query rectangle).
+        whose MBR could contain a result are faulted in.  MINDIST is
+        computed on the raw entry floats and is bit-identical to
+        :meth:`~repro.geometry.rect.Rect.min_distance_to` of the
+        degenerate query rectangle.
 
         Raises:
             ValueError: for non-positive *k*.
         """
         import heapq
+        import math
 
         if k <= 0:
             raise ValueError("k must be positive")
         if self._size == 0:
             return []
-        if not zero_copy:
-            return self._knn_objects(point, k, stats)
-        import math
-
         px, py = point.x, point.y
         counter = 0
         # Heap items: (distance, tiebreak, is_object, page_or_oid)
@@ -535,7 +407,7 @@ class DiskRTree:
                 continue
             is_leaf, count, entries = iter_node_entries(pool_get(ref))
             if stats is not None:
-                stats.record_page(is_leaf, count)
+                stats.record_visit(is_leaf, count)
             for x1, y1, x2, y2, ptr in entries:
                 counter += 1
                 dx = x1 - px
@@ -550,30 +422,6 @@ class DiskRTree:
                     dy = 0.0
                 heapq.heappush(heap,
                                (hypot(dx, dy), counter, is_leaf, ptr))
-        return out
-
-    def _knn_objects(self, point: Point, k: int,
-                     stats=None) -> list[tuple[float, int]]:
-        """The NodeRecord-materialising twin of :meth:`knn`."""
-        import heapq
-
-        qrect = Rect.from_point(point)
-        counter = 0
-        heap: list[tuple[float, int, bool, int]] = [
-            (0.0, counter, False, self._root_page)]
-        out: list[tuple[float, int]] = []
-        while heap and len(out) < k:
-            dist, _tb, is_object, ref = heapq.heappop(heap)
-            if is_object:
-                out.append((dist, ref))
-                continue
-            node = self._read_node(ref)
-            if stats is not None:
-                stats.record_page(node.is_leaf, len(node.entries))
-            for e in node.entries:
-                counter += 1
-                d = _entry_rect(e).min_distance_to(qrect)
-                heapq.heappush(heap, (d, counter, node.is_leaf, e[4]))
         return out
 
     # -- insert -----------------------------------------------------------------
@@ -624,9 +472,9 @@ class DiskRTree:
 
         while True:
             if len(entries) > self.max_entries:
-                g1, g2 = self._split_disk_entries(entries)
+                entries, g2 = self._split_disk_entries(entries)
                 self._write_node(page_no, NodeRecord(
-                    is_leaf=is_leaf, entries=tuple(g1)))
+                    is_leaf=is_leaf, entries=tuple(entries)))
                 sib_page = self.pager.allocate()
                 self._write_node(sib_page, NodeRecord(
                     is_leaf=is_leaf, entries=tuple(g2)))
@@ -638,12 +486,10 @@ class DiskRTree:
 
             if level == 0:
                 if sibling is not None:
-                    node_mbr = self._entries_mbr(
-                        deserialize_node(self.pool.get(page_no)).entries)
-                    self._grow_root(page_no, node_mbr, sibling)
+                    self._grow_root(page_no, self._entries_mbr(entries),
+                                    sibling)
                 return
-            node_mbr = self._entries_mbr(
-                deserialize_node(self.pool.get(page_no)).entries)
+            node_mbr = self._entries_mbr(entries)
             # Update the parent entry for this page, then move up.
             parent_page = path[level - 1]
             parent = self._read_node(parent_page)

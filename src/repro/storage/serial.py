@@ -78,22 +78,8 @@ def deserialize_node(payload: bytes) -> NodeRecord:
     Raises:
         ValueError: on truncated or inconsistent payloads.
     """
-    if len(payload) < _NODE_HEADER_SIZE:
-        raise ValueError("payload too short for a node header")
-    is_leaf, count = struct.unpack_from(_NODE_HEADER_FMT, payload)
-    expected = _NODE_HEADER_SIZE + count * _ENTRY_SIZE
-    if len(payload) < expected:
-        raise ValueError(
-            f"payload holds {len(payload)} bytes but header promises "
-            f"{expected}")
-    entries = []
-    offset = _NODE_HEADER_SIZE
-    for _ in range(count):
-        x1, y1, x2, y2, pointer = struct.unpack_from(_ENTRY_FMT, payload,
-                                                     offset)
-        entries.append((x1, y1, x2, y2, pointer))
-        offset += _ENTRY_SIZE
-    return NodeRecord(is_leaf=bool(is_leaf), entries=tuple(entries))
+    is_leaf, _count, entries = iter_node_entries(payload)
+    return NodeRecord(is_leaf=is_leaf, entries=tuple(entries))
 
 
 def iter_node_entries(payload: bytes):
@@ -101,13 +87,12 @@ def iter_node_entries(payload: bytes):
 
     *entries* is a ``struct.iter_unpack`` iterator yielding
     ``(x1, y1, x2, y2, pointer)`` tuples directly from a memoryview of
-    the payload — no :class:`NodeRecord`, no intermediate list.  This is
-    the read-only traversal twin of :func:`deserialize_node` (which
-    write paths keep using, since they mutate entry sets).
+    the payload — no :class:`NodeRecord`, no intermediate list.  It is
+    the one decoder: :func:`deserialize_node` materialises its entries
+    for the write paths, which mutate entry sets.
 
     Raises:
-        ValueError: on truncated payloads, exactly as
-            :func:`deserialize_node` would.
+        ValueError: on truncated or inconsistent payloads.
     """
     if len(payload) < _NODE_HEADER_SIZE:
         raise ValueError("payload too short for a node header")

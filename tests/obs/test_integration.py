@@ -72,7 +72,7 @@ def test_stats_kwarg_and_obs_agree():
     class Recorder:
         nodes = 0
 
-        def record_node(self, node):
+        def record_visit(self, is_leaf, nentries):
             self.nodes += 1
 
     rec = Recorder()

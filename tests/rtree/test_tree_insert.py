@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry import Point, Rect
-from repro.rtree import RTree
+from repro.rtree import RTree, SearchStats
 
 
 def brute_hits(items, window):
@@ -126,10 +126,10 @@ class TestQueries:
     def test_count_query_accesses_at_least_root(self, tree):
         assert tree.count_query_accesses(Point(-1, -1)) >= 1
 
-    def test_on_node_callback_counts(self, tree):
-        visits = []
-        tree.search(Rect(0, 0, 1000, 1000), on_node=visits.append)
-        assert len(visits) == tree.node_count  # full-universe window
+    def test_stats_hook_counts(self, tree):
+        stats = SearchStats()
+        tree.search(Rect(0, 0, 1000, 1000), stats=stats)
+        assert stats.nodes_visited == tree.node_count  # full-universe window
 
 
 class TestValidate:

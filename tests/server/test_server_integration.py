@@ -7,12 +7,14 @@ admission gate answers ``BUSY``; the cache serves repeats and misses
 after a generation bump; shutdown drains in-flight queries.
 """
 
+import asyncio
 import random
 import threading
 import time
 
 import pytest
 
+from repro.cluster.shardserver import ShardServer
 from repro.geometry import Point
 from repro.psql.executor import Session
 from repro.server import protocol
@@ -326,6 +328,35 @@ class TestGracefulShutdown:
         assert "r" in result
         assert result["r"].ok
         assert result["r"].rows == [("400",)]
+
+
+    @pytest.mark.parametrize("server_class", [PsqlServer, ShardServer])
+    def test_stop_with_open_connections_is_quiet(self, map_database,
+                                                 server_class):
+        # Idle text and binary connections block their handlers in
+        # readline/readexactly; stop must let those handlers see EOF
+        # and return, not leave asyncio.run to cancel them (which logs
+        # one traceback per connection through the exception handler).
+        seen = []
+
+        class Recording(server_class):
+            async def _serve_until_stopped(self):
+                asyncio.get_running_loop().set_exception_handler(
+                    lambda _loop, context: seen.append(context))
+                await super()._serve_until_stopped()
+
+        srv = Recording(ServerConfig(port=0, workers=1), db=map_database)
+        host, port = srv.start_background()
+        clients = [Client(host, port, binary=True),
+                   Client(host, port, binary=True), Client(host, port)]
+        try:
+            assert [c.binary for c in clients] == [True, True, False]
+            assert all(c.ping() for c in clients)
+            srv.stop_background()
+        finally:
+            for c in clients:
+                c.close()
+        assert seen == []
 
 
 def faulty_session_factory(db):

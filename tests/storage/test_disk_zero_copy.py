@@ -1,11 +1,14 @@
-"""Zero-copy disk traversals vs. the NodeRecord path, and meta checks.
+"""Zero-copy disk traversals against brute-force oracles, and meta checks.
 
-The zero-copy search paths iterate raw struct-packed entries straight
-off buffered page payloads; these tests pin them to the object paths:
-same results, same page-access counts, bit-identical kNN distances.
+Every window and point query runs one ``struct.iter_unpack`` kernel over
+buffered page payloads; these tests pin it to a full scan of the loaded
+items: same results, page-access counts derived independently from
+:meth:`~repro.storage.disk_rtree.DiskRTree.entry_rects`, and kNN
+distances bit-identical to :meth:`~repro.geometry.rect.Rect.min_distance_to`.
 """
 
 import struct
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,79 +29,129 @@ WINDOWS = [
 POINTS = [Point(500, 500), Point(123.25, 456.75), Point(-10, -10)]
 
 
+def make_items(kind, n, seed):
+    if kind == "points":
+        return [(Rect.from_point(p), i)
+                for i, p in enumerate(uniform_points(n, seed=seed))]
+    return [(r, i) for i, r in enumerate(uniform_rects(n, seed=seed,
+                                                        max_side=40))]
+
+
 @pytest.fixture(scope="module", params=["points", "rects"])
-def tree(request, tmp_path_factory):
+def loaded(request, tmp_path_factory):
     path = str(tmp_path_factory.mktemp("zc") / f"{request.param}.db")
-    if request.param == "points":
-        items = [(Rect.from_point(p), i)
-                 for i, p in enumerate(uniform_points(600, seed=31))]
-    else:
-        items = [(r, i)
-                 for i, r in enumerate(uniform_rects(600, seed=32,
-                                                     max_side=40))]
+    items = make_items(request.param, 600,
+                       31 if request.param == "points" else 32)
     t = DiskRTree(path, max_entries=16)
     t.bulk_load(items)
-    yield t
+    yield SimpleNamespace(kind=request.param, tree=t, items=items)
     t.close()
+
+
+def scan(items, keep):
+    """The brute-force oracle: ids of every item whose rect passes."""
+    return sorted(oid for rect, oid in items if keep(rect))
+
+
+def expected_visits(tree, window):
+    """``(nodes, leaves)`` a search of *window* must visit.
+
+    Derived from the entry listing alone: each entry's rect contains
+    every rect below it, so a node is visited exactly when the entry
+    bounding it intersects the window (the root always is).
+    """
+    bounding = [(level, rect) for level, is_leaf, rect in tree.entry_rects()
+                if not is_leaf]
+    if not bounding:
+        return 1, 1  # a lone leaf root
+    leaf_level = max(level for level, _ in bounding)
+    hit = [level for level, rect in bounding if rect.intersects(window)]
+    return 1 + len(hit), sum(1 for level in hit if level == leaf_level)
+
+
+def check_query(tree, items, query, arg, window, keep):
+    """*query(arg)* returns the scan's ids, visiting the expected pages
+    for *window* (the degenerate one for a point query)."""
+    stats = SearchStats()
+    assert sorted(query(arg, stats=stats)) == scan(items, keep)
+    assert (stats.nodes_visited, stats.leaves_visited) == \
+        expected_visits(tree, window)
+
+
+def check_point_query(tree, items, point):
+    check_query(tree, items, tree.point_query, point,
+                Rect.from_point(point), lambda r: r.contains_point(point))
+
+
+def assert_queries_match_scan(tree, items):
+    for window in WINDOWS:
+        check_query(tree, items, tree.search, window, window,
+                    window.intersects)
+        check_query(tree, items, tree.search_within, window, window,
+                    window.contains)
+    # Corners of stored rects probe the closed-interval boundaries.
+    corners = [Point(x, y) for rect, _ in items[:3]
+               for x, y in ((rect.x1, rect.y1), (rect.x2, rect.y2))]
+    for point in POINTS + corners:
+        check_point_query(tree, items, point)
+
+
+def assert_knn_matches_scan(tree, items, point, k):
+    got = tree.knn(point, k=k)
+    qrect = Rect.from_point(point)
+    dist = {oid: rect.min_distance_to(qrect) for rect, oid in items}
+    assert len(got) == min(k, len(items))
+    # Bit for bit: the inlined MINDIST must equal Rect.min_distance_to
+    # of the degenerate query rectangle.
+    assert [d for d, _ in got] == sorted(dist.values())[:k]
+    assert all(dist[oid] == d for d, oid in got)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("window", WINDOWS)
-    def test_search(self, tree, window):
-        fast = SearchStats()
-        slow = SearchStats()
-        assert sorted(tree.search(window, stats=fast)) == \
-            sorted(tree.search(window, stats=slow, zero_copy=False))
-        assert fast == slow
+    def test_search(self, loaded, window):
+        check_query(loaded.tree, loaded.items, loaded.tree.search, window,
+                    window, window.intersects)
 
     @pytest.mark.parametrize("window", WINDOWS)
-    def test_search_within(self, tree, window):
-        fast = SearchStats()
-        slow = SearchStats()
-        assert sorted(tree.search_within(window, stats=fast)) == \
-            sorted(tree.search_within(window, stats=slow,
-                                      zero_copy=False))
-        assert fast == slow
+    def test_search_within(self, loaded, window):
+        check_query(loaded.tree, loaded.items, loaded.tree.search_within,
+                    window, window, window.contains)
 
     @pytest.mark.parametrize("point", POINTS)
-    def test_point_query(self, tree, point):
-        fast = SearchStats()
-        slow = SearchStats()
-        assert sorted(tree.point_query(point, stats=fast)) == \
-            sorted(tree.point_query(point, stats=slow, zero_copy=False))
-        assert fast == slow
+    def test_point_query(self, loaded, point):
+        check_point_query(loaded.tree, loaded.items, point)
 
     @pytest.mark.parametrize("point", POINTS)
     @pytest.mark.parametrize("k", [1, 5, 50])
-    def test_knn_bit_identical(self, tree, point, k):
-        fast = tree.knn(point, k=k)
-        slow = tree.knn(point, k=k, zero_copy=False)
-        assert len(fast) == len(slow) == min(k, len(tree))
-        # Same distances, bit for bit — the inlined MINDIST must equal
-        # Rect.min_distance_to of the degenerate query rectangle.
-        assert [d for d, _ in fast] == [d for d, _ in slow]
-        assert sorted(fast) == sorted(slow)
+    def test_knn_bit_identical(self, loaded, point, k):
+        assert_knn_matches_scan(loaded.tree, loaded.items, point, k)
 
-    def test_stats_counts_pages(self, tree):
+    def test_stats_counts_pages(self, loaded):
+        # The everything-window visits every page and tests every entry.
+        tree = loaded.tree
         stats = SearchStats()
-        tree.search(Rect(0, 0, 1000, 1000), stats=stats)
-        assert stats.nodes_visited >= tree.node_count() > 1
-        assert stats.leaves_visited >= 1
-        assert stats.entries_tested >= len(tree)
+        tree.search(WINDOWS[0], stats=stats)
+        assert stats.nodes_visited == tree.node_count() > 1
+        assert (stats.nodes_visited, stats.leaves_visited) == \
+            expected_visits(tree, WINDOWS[0])
+        assert stats.entries_tested == len(tree.entry_rects())
 
-    def test_after_mutations(self, tree, tmp_path):
-        # Inserts and deletes keep the two paths agreeing: fresh nodes
-        # round-trip through serialize_node like bulk-loaded ones.
-        path = str(tmp_path / "mut.db")
-        t = DiskRTree(path, max_entries=8)
-        points = list(uniform_points(150, seed=77))
-        for i, p in enumerate(points):
-            t.insert(Rect.from_point(p), i)
-        for i in range(0, 150, 7):
-            assert t.delete(Rect.from_point(points[i]), i)
-        for window in WINDOWS:
-            assert sorted(t.search(window)) == \
-                sorted(t.search(window, zero_copy=False))
+    def test_after_mutations(self, loaded, tmp_path):
+        # Inserted and split nodes, and the condensed tree after
+        # deletes, answer exactly like a scan of the live items.
+        t = DiskRTree(str(tmp_path / "mut.db"), max_entries=8)
+        items = make_items(loaded.kind, 150, 77)
+        for rect, oid in items:
+            t.insert(rect, oid)
+        live = [item for item in items if item[1] % 7]
+        for rect, oid in items:
+            if oid % 7 == 0:
+                assert t.delete(rect, oid)
+        assert len(t) == len(live)
+        assert_queries_match_scan(t, live)
+        for point in POINTS:
+            assert_knn_matches_scan(t, live, point, 10)
         t.close()
 
 
