@@ -66,6 +66,9 @@ from repro.cluster.routing import (ClusterRoutingError, merge_knn,
 
 __all__ = ["BackendDownError", "BackendSpec", "Router", "RouterConfig"]
 
+#: seconds stop() waits for client handlers to see EOF and return
+_HANDLER_EXIT_TIMEOUT = 1.0
+
 
 class BackendDownError(Exception):
     """A backend connection failed; the command was not completed."""
@@ -243,7 +246,8 @@ class Router:
             if sid not in self._primaries:
                 raise ValueError(f"no primary for shard {sid}")
         self._rr: dict[int, int] = {sid: 0 for sid in self._primaries}
-        self._client_writers: set[asyncio.StreamWriter] = set()
+        #: open client connections: writer -> its handler task
+        self._client_tasks: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self.port: Optional[int] = None
         self._asyncio_server: Optional[asyncio.base_events.Server] = None
         self._started_at = time.monotonic()
@@ -278,11 +282,15 @@ class Router:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
-        for writer in list(self._client_writers):
+        # Closing a writer feeds EOF to its handler's pending read; wait
+        # (bounded) for the handlers to return, so asyncio.run never
+        # has to cancel one mid-read.
+        handlers = dict(self._client_tasks)
+        for writer in handlers:
             writer.close()
-        # Let the connection handlers observe EOF and exit before the
-        # loop tears down (avoids cancel noise from blocked readlines).
-        await asyncio.sleep(0)
+        if handlers:
+            await asyncio.wait(handlers.values(),
+                               timeout=_HANDLER_EXIT_TIMEOUT)
         for backend in self._backends:
             await backend._drop()
 
@@ -340,7 +348,7 @@ class Router:
     async def _handle_connection(self, reader: asyncio.StreamReader,
                                  writer: asyncio.StreamWriter) -> None:
         self.registry.bump("router.sessions.opened")
-        self._client_writers.add(writer)
+        self._client_tasks[writer] = asyncio.current_task()
         try:
             while True:
                 line = await reader.readline()
@@ -358,7 +366,7 @@ class Router:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
-            self._client_writers.discard(writer)
+            self._client_tasks.pop(writer, None)
             self.registry.bump("router.sessions.closed")
             writer.close()
 

@@ -11,7 +11,10 @@ but the moving parts are the same ones the paper names:
 - a nested ``select`` as an at-operand is a **nested mapping**: the inner
   query binds a set of locations that direct the outer search;
 - the where-clause runs conventional predicate evaluation with pictorial
-  functions available as "system defined procedures".
+  functions available as "system defined procedures".  It and the
+  select list are compiled once per execution into closures; a join
+  applies the where's leading single-relation conjuncts (chosen by the
+  planner) to each side's rows before its exact refinement.
 
 MBR semantics: spatial operators compare minimal bounding rectangles, as
 R-tree leaf entries do in the paper; when an operand's actual geometry is
@@ -21,9 +24,10 @@ a polygon :func:`_refine` additionally applies the exact region test.
 from __future__ import annotations
 
 import copy
+import operator
 import time
 from collections import OrderedDict
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro import obs
 from repro.geometry.point import Point
@@ -35,8 +39,7 @@ from repro.psql import ast
 from repro.psql.errors import PsqlError, PsqlSemanticError
 from repro.psql.functions import FunctionRegistry
 from repro.psql.parser import parse, parse_statement
-from repro.psql.planner import Plan, PlanNode, plan_query, \
-    sargable_conjuncts
+from repro.psql.planner import Plan, PlanNode, plan_query, resolve_column
 from repro.psql.prepare import PreparedStatement
 from repro.psql.result import PictorialObject, QueryResult
 from repro.relational.catalog import Database, mbr_of_value
@@ -46,8 +49,9 @@ from repro.rtree.search import SearchStats
 
 #: One candidate combination of rows: relation name -> (row id, row).
 Binding = dict[str, tuple[RowId, dict[str, Any]]]
+#: A compiled where-clause or select-list expression over one binding.
+Evaluator = Callable[[Binding], Any]
 
-_SYMMETRIC_OPS = {"overlapping", "disjoined", "intersecting"}
 _FLIP = {"covering": "covered-by", "covered-by": "covering"}
 
 
@@ -254,6 +258,11 @@ class _Execution:
                 raise PsqlSemanticError(f"unknown picture {pic!r}")
         self.plan = plan if plan is not None else session.plan(query)
         self.window: Optional[Rect] = None
+        self.items = self._expand_select()
+        self.select = [self._compile_expression(expr)
+                       for _label, expr in self.items]
+        self.where = (None if query.where is None
+                      else self._compile_condition(query.where))
 
     # -- top level ------------------------------------------------------------
 
@@ -262,10 +271,10 @@ class _Execution:
             bindings = self._bindings_from_indexes()
             if bindings is None:
                 bindings = self._bindings_from_at()
-            if self.query.where is not None:
+            where = self.where
+            if where is not None:
                 candidates = len(bindings)
-                bindings = [b for b in bindings
-                            if self._truth(self.query.where, b)]
+                bindings = [b for b in bindings if where(b)]
                 if obs.ENABLED:
                     reg = obs.active()
                     reg.bump("psql.where.rows_in", candidates)
@@ -338,12 +347,6 @@ class _Execution:
             node.actual_rows = len(bindings)
             node.actual_accesses = len(rows)
         return bindings
-
-    def _find_sargable(self, cond: ast.Condition, relation: Relation,
-                       ) -> Optional[tuple[str, str, Any]]:
-        """The first ``indexed-column <op> literal`` conjunct, if any."""
-        found = sargable_conjuncts(cond, relation)
-        return found[0] if found else None
 
     # -- at-clause evaluation ------------------------------------------------------
 
@@ -473,19 +476,24 @@ class _Execution:
         col_l, col_r = node.props["columns"]
         pic_l, pic_r = node.props["pictures"]
         op = node.props["op"]
-        rel_l = self.relations[name_l]
-        rel_r = self.relations[name_r]
+        pushed = node.props.get("pushed", [])
+        left = self._join_side(name_l, pushed)
+        right = self._join_side(name_r, pushed)
         tree_l = self.db.picture(pic_l).index(name_l, col_l)
         tree_r = self.db.picture(pic_r).index(name_r, col_r)
         stats = JoinStats() if self.measure else None
 
-        if node.props["strategy"] == "lockstep-complement":
+        complement = node.props["strategy"] == "lockstep-complement"
+        if complement:
             # Complement of the intersecting join: no lockstep pruning is
-            # possible, so qualify every non-intersecting pair.
+            # possible, so qualify every non-intersecting pair — of the
+            # rows the pushed conjuncts leave on each side.
             intersecting = set(spatial_join(tree_l, tree_r, Rect.intersects,
                                             stats=stats))
+            scan_l, scan_r = left.scan(), right.scan()
+            rids_r = _pairable(scan_r, scan_l)
             pairs = [(ra, rb)
-                     for ra, _ in rel_l.rows() for rb, _ in rel_r.rows()
+                     for ra in _pairable(scan_l, scan_r) for rb in rids_r
                      if (ra, rb) not in intersecting]
         else:
             predicate = OPERATORS[op]
@@ -501,10 +509,15 @@ class _Execution:
             else:
                 pairs = spatial_join(tree_l, tree_r, predicate,
                                      stats=stats)
+        rows_l, rows_r = left.rows, right.rows
+        if pushed:
+            verdicts_l, verdicts_r = left.verdicts, right.verdicts
             pairs = [(ra, rb) for ra, rb in pairs
-                     if self._refine(op,
-                                     rel_l.get(ra)[col_l],
-                                     rel_r.get(rb)[col_r])]
+                     if min(verdicts_l[ra], verdicts_r[rb])[1]]
+        if not complement:
+            pairs = [(ra, rb) for ra, rb in pairs
+                     if self._refine(op, rows_l[ra][col_l],
+                                     rows_r[rb][col_r])]
         if obs.ENABLED:
             reg = obs.active()
             reg.bump("psql.plan.juxtaposition")
@@ -518,8 +531,15 @@ class _Execution:
             node.actual_rows = len(pairs)
             if stats is not None:
                 node.actual_accesses = stats.nodes_accessed
-        return [{name_l: (ra, rel_l.get(ra)),
-                 name_r: (rb, rel_r.get(rb))} for ra, rb in pairs]
+        return [{name_l: (ra, rows_l[ra]), name_r: (rb, rows_r[rb])}
+                for ra, rb in pairs]
+
+    def _join_side(self, name: str,
+                   pushed: list[tuple[str, ast.Comparison]]) -> "_JoinSide":
+        tests = [(position, self._compile_condition(cond))
+                 for position, (side, cond) in enumerate(pushed)
+                 if side == name]
+        return _JoinSide(self.relations[name], tests, len(pushed))
 
     # -- case 3: nested mapping -------------------------------------------------------
 
@@ -579,38 +599,6 @@ class _Execution:
 
     # -- helpers ------------------------------------------------------------------------
 
-    def _loc_relation(self, loc: ast.LocRef) -> Relation:
-        """Resolve which relation a LocRef addresses."""
-        if loc.relation is not None:
-            if loc.relation not in self.relations:
-                raise PsqlSemanticError(
-                    f"{loc.relation!r} is not in the from-clause")
-            return self.relations[loc.relation]
-        candidates = [rel for rel in self.relations.values()
-                      if rel.has_column(loc.column)]
-        if not candidates:
-            raise PsqlSemanticError(
-                f"no relation in the from-clause has column {loc.column!r}")
-        if len(candidates) > 1:
-            raise PsqlSemanticError(
-                f"column {loc.column!r} is ambiguous; qualify it "
-                f"(e.g. {candidates[0].name}.{loc.column})")
-        return candidates[0]
-
-    def _tree_for(self, relation_name: str, column: str) -> Any:
-        """The R-tree indexing (relation, column), from the on-clause pictures."""
-        pictures = self.query.pictures
-        if not pictures:
-            raise PsqlSemanticError(
-                "an at-clause requires an on-clause naming the picture(s)")
-        for pic_name in pictures:
-            picture = self.db.picture(pic_name)
-            if picture.has_index(relation_name, column):
-                return picture.index(relation_name, column)
-        raise PsqlSemanticError(
-            f"no picture in the on-clause indexes "
-            f"{relation_name}.{column}")
-
     def _cross_product(self, names: Sequence[str]) -> list[Binding]:
         bindings: list[Binding] = [{}]
         return self._extend_cross(bindings, names)
@@ -623,58 +611,57 @@ class _Execution:
                         for b in bindings for rid, row in relation.rows()]
         return bindings
 
-    # -- where-clause evaluation ------------------------------------------------------
+    # -- where-clause and select-list compilation ---------------------------------
 
-    def _truth(self, cond: ast.Condition, binding: Binding) -> bool:
-        if isinstance(cond, ast.And):
-            return (self._truth(cond.left, binding)
-                    and self._truth(cond.right, binding))
-        if isinstance(cond, ast.Or):
-            return (self._truth(cond.left, binding)
-                    or self._truth(cond.right, binding))
+    def _compile_condition(self, cond: ast.Condition) -> Evaluator:
+        """Compile a where-clause (or one conjunct) into a closure.
+
+        Column refs resolve against the from-clause schema here, once.
+        What cannot be resolved — an unknown or ambiguous column, an
+        unknown function — compiles to a closure that raises the
+        semantic error when *called*, so a query whose access path
+        yields no rows still returns an empty result.
+        """
+        if isinstance(cond, (ast.And, ast.Or)):
+            left = self._compile_condition(cond.left)
+            right = self._compile_condition(cond.right)
+            if isinstance(cond, ast.And):
+                return lambda b: left(b) and right(b)
+            return lambda b: left(b) or right(b)
         if isinstance(cond, ast.Not):
-            return not self._truth(cond.operand, binding)
+            operand = self._compile_condition(cond.operand)
+            return lambda b: not operand(b)
         assert isinstance(cond, ast.Comparison)
-        left = self._value(cond.left, binding)
-        right = self._value(cond.right, binding)
-        return _compare(cond.op, left, right)
+        return _comparison(cond.op, self._compile_expression(cond.left),
+                           self._compile_expression(cond.right))
 
-    def _value(self, expr: ast.Expression, binding: Binding) -> Any:
+    def _compile_expression(self, expr: ast.Expression) -> Evaluator:
         if isinstance(expr, ast.Literal):
-            return expr.value
+            value = expr.value
+            return lambda _b: value
         if isinstance(expr, ast.ColumnRef):
-            return self._column_value(expr, binding)
+            return self._compile_column(expr)
         if isinstance(expr, ast.FunctionCall):
-            fn = self.session.functions.lookup(expr.name)
-            args = [self._value(a, binding) for a in expr.args]
-            return fn(*args)
-        raise PsqlSemanticError(f"cannot evaluate {expr!r}")
+            try:
+                fn = self.session.functions.lookup(expr.name)
+            except PsqlSemanticError as exc:
+                return _raising(str(exc))
+            args = [self._compile_expression(a) for a in expr.args]
+            return lambda b: fn(*[arg(b) for arg in args])
+        return _raising(f"cannot evaluate {expr!r}")
 
-    def _column_value(self, ref: ast.ColumnRef, binding: Binding) -> Any:
-        if ref.relation is not None:
-            if ref.relation not in binding:
-                raise PsqlSemanticError(
-                    f"{ref.relation!r} is not in the from-clause")
-            _rid, row = binding[ref.relation]
-            if ref.column not in row:
-                raise PsqlSemanticError(
-                    f"{ref.relation!r} has no column {ref.column!r}")
-            return row[ref.column]
-        holders = [name for name, (_rid, row) in binding.items()
-                   if ref.column in row]
-        if not holders:
-            raise PsqlSemanticError(f"unknown column {ref.column!r}")
-        if len(holders) > 1:
-            raise PsqlSemanticError(
-                f"column {ref.column!r} is ambiguous between "
-                f"{' and '.join(sorted(holders))}")
-        _rid, row = binding[holders[0]]
-        return row[ref.column]
+    def _compile_column(self, ref: ast.ColumnRef) -> Evaluator:
+        try:
+            name = resolve_column(ref, self.relations)
+        except PsqlSemanticError as exc:
+            return _raising(str(exc))
+        column = ref.column
+        return lambda b: b[name][1][column]
 
     # -- projection -------------------------------------------------------------------
 
     def _project(self, bindings: list[Binding]) -> QueryResult:
-        items = self._expand_select()
+        items = self.items
         aggregate_flags = [
             isinstance(expr, ast.FunctionCall)
             and self.session.functions.is_aggregate(expr.name)
@@ -683,8 +670,9 @@ class _Execution:
             return self._project_grouped(items, aggregate_flags, bindings)
         columns = tuple(label for label, _expr in items)
         result = QueryResult(columns=columns, window=self.window)
+        select = self.select
         for binding in bindings:
-            row = tuple(self._value(expr, binding) for _label, expr in items)
+            row = tuple([value(binding) for value in select])
             result.rows.append(row)
             self._collect_pictorial(result, binding, row, columns)
         return result
@@ -712,12 +700,14 @@ class _Execution:
                     f"select item {label!r} must be a plain column when "
                     f"aggregates are present (it becomes the group key)")
 
-        key_positions = [i for i, is_agg in enumerate(aggregate_flags)
-                         if not is_agg]
+        keys = [value for value, is_agg in zip(self.select, aggregate_flags)
+                if not is_agg]
+        arguments = [self._compile_expression(expr.args[0]) if is_agg
+                     else None
+                     for (_label, expr), is_agg in zip(items, aggregate_flags)]
         groups: dict[tuple, list[Binding]] = {}
         for binding in bindings:
-            key = tuple(self._value(items[i][1], binding)
-                        for i in key_positions)
+            key = tuple([value(binding) for value in keys])
             groups.setdefault(key, []).append(binding)
 
         columns = tuple(label for label, _expr in items)
@@ -725,11 +715,11 @@ class _Execution:
         for key, members in groups.items():
             key_iter = iter(key)
             row_values = []
-            for (label, expr), is_agg in zip(items, aggregate_flags):
-                if is_agg:
+            for (label, expr), argument in zip(items, arguments):
+                if argument is not None:
                     assert isinstance(expr, ast.FunctionCall)
                     fn = self.session.functions.lookup_aggregate(expr.name)
-                    values = [self._value(expr.args[0], b) for b in members]
+                    values = [argument(b) for b in members]
                     row_values.append(fn(values))
                 else:
                     row_values.append(next(key_iter))
@@ -788,25 +778,109 @@ def _row_label(row: tuple[Any, ...], columns: tuple[str, ...]) -> str:
     return "(unnamed)" if not columns else str(row[0])
 
 
-def _compare(op: str, left: Any, right: Any) -> bool:
-    try:
-        if op == "=":
-            return bool(left == right)
-        if op == "<>":
-            return bool(left != right)
-        if op == ">":
-            return bool(left > right)
-        if op == "<":
-            return bool(left < right)
-        if op == ">=":
-            return bool(left >= right)
-        if op == "<=":
-            return bool(left <= right)
-    except TypeError as exc:
-        raise PsqlSemanticError(
-            f"cannot compare {type(left).__name__} with "
-            f"{type(right).__name__} using {op!r}") from exc
-    raise PsqlSemanticError(f"unknown comparison operator {op!r}")
+_COMPARATORS = {"=": operator.eq, "<>": operator.ne, ">": operator.gt,
+                "<": operator.lt, ">=": operator.ge, "<=": operator.le}
+
+
+def _comparison(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
+    """Compile ``left <op> right``: both operands, then the test."""
+    test = _COMPARATORS.get(op)
+
+    def compare(binding: Binding) -> bool:
+        lhs = left(binding)
+        rhs = right(binding)
+        if test is None:
+            raise PsqlSemanticError(f"unknown comparison operator {op!r}")
+        try:
+            return bool(test(lhs, rhs))
+        except TypeError as exc:
+            raise PsqlSemanticError(
+                f"cannot compare {type(lhs).__name__} with "
+                f"{type(rhs).__name__} using {op!r}") from exc
+
+    return compare
+
+
+def _raising(message: str) -> Evaluator:
+    """An evaluator that raises ``PsqlSemanticError(message)`` when called."""
+    def fail(_binding: Binding) -> Any:
+        raise PsqlSemanticError(message)
+
+    return fail
+
+
+class _JoinSide:
+    """One relation of a spatial join, with the where conjuncts pushed to it.
+
+    Rows are fetched once per execution.  A row's *verdict* runs the
+    side's pushed conjuncts in where order and stops at the first that
+    does not hold: ``(position, False)`` when it is false,
+    ``(position, True)`` when it raises — the row is kept and the full
+    where re-check raises the same error again — and ``(len(pushed),
+    True)`` when all hold.  Each pushed conjunct reads one side only, so
+    the first conjunct a *pair* fails is the earlier of its rows' two —
+    ``min(verdict_l, verdict_r)`` — and the pair is dropped exactly when
+    that one is false, i.e. when the full where would have returned
+    false before evaluating anything that raises.
+    """
+
+    def __init__(self, relation: Relation,
+                 tests: list[tuple[int, Evaluator]], npushed: int):
+        self.relation = relation
+        #: rid -> row and rid -> verdict, each computed on first lookup
+        self.rows = _Memo(relation.get)
+        self.verdicts = _Memo(_judge(relation.name, self.rows, tests,
+                                     (npushed, True)))
+
+    def scan(self) -> list[tuple[RowId, tuple[int, bool]]]:
+        """Every live row's verdict, in heap order."""
+        out = []
+        for rid, row in self.relation.rows():
+            self.rows[rid] = row
+            out.append((rid, self.verdicts[rid]))
+        return out
+
+
+def _judge(name: str, rows: dict[RowId, dict[str, Any]],
+           tests: list[tuple[int, Evaluator]], passed: tuple[int, bool],
+           ) -> Callable[[RowId], tuple[int, bool]]:
+    """The verdict function of one join side (see :class:`_JoinSide`)."""
+    def verdict(rid: RowId) -> tuple[int, bool]:
+        binding = {name: (rid, rows[rid])}
+        for position, test in tests:
+            try:
+                if not test(binding):
+                    return position, False
+            except Exception:  # noqa: BLE001 - the re-check raises it
+                return position, True
+        return passed
+
+    return verdict
+
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``compute(key)``."""
+
+    def __init__(self, compute: Callable[[Any], Any]):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _pairable(rows: list[tuple[RowId, tuple[int, bool]]],
+              others: list[tuple[RowId, tuple[int, bool]]]) -> list[RowId]:
+    """The scanned rows that may survive the pushed conjuncts in a pair.
+
+    A row false at a position before every position where some row of
+    the other side stops without being false rejects all of its pairs.
+    """
+    horizon = min((position for _rid, (position, kept) in others if kept),
+                  default=0)
+    return [rid for rid, (position, kept) in rows
+            if kept or position > horizon]
 
 
 def _single_pictorial_column(result: QueryResult,

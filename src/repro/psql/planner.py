@@ -39,7 +39,8 @@ from repro.relational.relation import Relation
 from repro.relational.stats import IndexSummary, LevelAgg
 
 __all__ = ["Plan", "PlanNode", "merge_shard_plans", "plan_query",
-           "sargable_conjuncts", "SEL_EQ", "SEL_RANGE", "SEL_NEQ"]
+           "resolve_column", "sargable_conjuncts", "SEL_EQ", "SEL_RANGE",
+           "SEL_NEQ"]
 
 #: selectivity of ``column = literal`` without histograms (System R)
 SEL_EQ = 0.1
@@ -131,6 +132,15 @@ def plan_query(db: Database, query: ast.Query,
     """
     relations = {name: db.relation(name) for name in query.relations}
     access = _plan_access(db, query, relations, force)
+    join = access.children[0] if access.kind == "extend-cross" else access
+    if query.where is not None and join.kind == "spatial-join":
+        pushed = _pushable_prefix(query.where, relations,
+                                  join.props["relations"])
+        if pushed:
+            join.props["pushed"] = pushed
+            join.label += (" pushed ["
+                           + " and ".join(_cond_text(c) for _, c in pushed)
+                           + "]")
     node = access
     filter_node = None
     if query.where is not None:
@@ -234,6 +244,82 @@ def sargable_conjuncts(cond: ast.Condition, relation: Relation,
     if relation.index_on(left.column) is None:
         return []
     return [(left.column, op, right.value)]
+
+
+def _pushable_prefix(where: ast.Condition, relations: dict[str, Relation],
+                     sides: list[str]) -> list[tuple[str, ast.Comparison]]:
+    """The where conjuncts a spatial join may apply to each side's rows.
+
+    Walks the top-level ``and`` chain in evaluation order and keeps its
+    longest leading run of comparisons that each read exactly one join
+    side: operands are literals or column refs, and every column ref
+    resolves by schema, against all from-clause relations, to that
+    side.  Returns ``(side relation, comparison)`` pairs.  Only a
+    *leading* run keeps the where's first error where it was: a pair the
+    prefix rejects is one the full where would have rejected before
+    evaluating anything that could raise.
+    """
+    prefix: list[tuple[str, ast.Comparison]] = []
+    for cond in _conjuncts(where):
+        side = _comparison_side(cond, relations)
+        if side is None or side not in sides:
+            break
+        prefix.append((side, cond))
+    return prefix
+
+
+def _conjuncts(cond: ast.Condition) -> list[ast.Condition]:
+    """The operands of a top-level ``and`` chain, left to right."""
+    if isinstance(cond, ast.And):
+        return _conjuncts(cond.left) + _conjuncts(cond.right)
+    return [cond]
+
+
+def _comparison_side(cond: ast.Condition,
+                     relations: dict[str, Relation]) -> Optional[str]:
+    """The one relation a column-vs-column/literal comparison reads."""
+    if not isinstance(cond, ast.Comparison):
+        return None
+    sides = set()
+    for expr in (cond.left, cond.right):
+        if isinstance(expr, ast.Literal):
+            continue
+        if not isinstance(expr, ast.ColumnRef):
+            return None
+        try:
+            sides.add(resolve_column(expr, relations))
+        except PsqlSemanticError:
+            return None
+    return sides.pop() if len(sides) == 1 else None
+
+
+def resolve_column(ref: ast.ColumnRef,
+                   relations: dict[str, Relation]) -> str:
+    """The from-clause relation whose rows *ref* reads, by schema.
+
+    Raises:
+        PsqlSemanticError: with the message evaluating *ref* reports —
+            a qualifier outside the from-clause, a column the qualified
+            relation lacks, or a bare name no or several relations have.
+    """
+    if ref.relation is not None:
+        relation = relations.get(ref.relation)
+        if relation is None:
+            raise PsqlSemanticError(
+                f"{ref.relation!r} is not in the from-clause")
+        if not relation.has_column(ref.column):
+            raise PsqlSemanticError(
+                f"{ref.relation!r} has no column {ref.column!r}")
+        return ref.relation
+    holders = [name for name, relation in relations.items()
+               if relation.has_column(ref.column)]
+    if not holders:
+        raise PsqlSemanticError(f"unknown column {ref.column!r}")
+    if len(holders) > 1:
+        raise PsqlSemanticError(
+            f"column {ref.column!r} is ambiguous between "
+            f"{' and '.join(sorted(holders))}")
+    return holders[0]
 
 
 # -- at-clause planning ------------------------------------------------------

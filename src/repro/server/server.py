@@ -28,10 +28,11 @@ listener closes first, in-flight queries drain (bounded by
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Hashable, Optional
 
 from repro.psql.errors import PsqlError
 from repro.psql.executor import Session
@@ -495,6 +496,19 @@ class PsqlServer:
         future = submit()
         future.add_done_callback(
             lambda _f: loop.call_soon_threadsafe(self._release_slot))
+        # The done callback frees the slot before this coroutine resumes
+        # to write the reply; count the reply as owed until it is written
+        # so a draining stop() cannot close the connection in between.
+        self._active_responses += 1
+        try:
+            await self._reply_outcome(conn, future, cache_key, generation)
+        finally:
+            self._active_responses -= 1
+
+    async def _reply_outcome(self, conn: _Connection,
+                             future: concurrent.futures.Future,
+                             cache_key: Hashable, generation: int) -> None:
+        """Await an admitted query's service future and write its reply."""
         timeout = self.config.query_timeout
         try:
             outcome = await asyncio.wait_for(

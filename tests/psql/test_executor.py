@@ -217,3 +217,57 @@ class TestErrors:
     def test_one_shot_execute_helper(self, map_database):
         r = execute(map_database, "select city from cities")
         assert len(r) > 0
+
+
+class TestEvaluationTimeErrors:
+    """Where/select errors surface only when a row is evaluated.
+
+    Column refs and comparisons are checked against actual rows, so a
+    query whose access path yields nothing returns an empty result even
+    when its where or select list could never evaluate.
+    """
+
+    JOIN = ("select city, zone from cities, time-zones "
+            "on us-map, time-zone-map "
+            "at cities.loc covered-by time-zones.loc")
+
+    @pytest.fixture(scope="class")
+    def demo(self) -> Session:
+        from repro.server.demo import demo_database
+        return Session(demo_database(scale=2))
+
+    def test_empty_window_skips_bad_where(self, demo):
+        r = demo.execute("select city from cities on us-map "
+                         "at loc covered-by {-1000 +- 1, -1000 +- 1} "
+                         "where nosuch > 3")
+        assert r.rows == []
+
+    def test_empty_window_skips_bad_select(self, demo):
+        r = demo.execute("select nosuch from cities on us-map "
+                         "at loc covered-by {-1000 +- 1, -1000 +- 1}")
+        assert r.rows == []
+
+    def test_unknown_column_raises_on_rows(self, demo):
+        with pytest.raises(PsqlSemanticError,
+                           match="^unknown column 'nosuch'$"):
+            demo.execute("select city from cities on us-map "
+                         "at loc covered-by {50 +- 500, 30 +- 500} "
+                         "where nosuch > 3")
+
+    def test_type_error_raises_on_rows(self, demo):
+        with pytest.raises(PsqlSemanticError,
+                           match="^cannot compare str with int using '>'$"):
+            demo.execute("select city from cities on us-map "
+                         "at loc covered-by {50 +- 500, 30 +- 500} "
+                         "where city > 3")
+
+    def test_join_ambiguous_column(self, demo):
+        with pytest.raises(PsqlSemanticError,
+                           match="^column 'loc' is ambiguous between "
+                                 "cities and time-zones$"):
+            demo.execute(self.JOIN + " where loc > 3")
+
+    def test_join_mixed_type_equality_is_false(self, demo):
+        r = demo.execute(self.JOIN
+                         + " where population > 1000000 and zone = 3")
+        assert r.rows == []

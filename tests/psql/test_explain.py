@@ -30,6 +30,10 @@ GOLDEN_QUERIES = [
     "at cities.loc covered-by time-zones.loc",
     "select city from cities on us-map at loc covered-by "
     "(select loc from lakes on lake-map)",
+    "select city, zone from cities, time-zones on us-map, time-zone-map "
+    "at cities.loc covered-by time-zones.loc "
+    "where population > 1_000_000 and zone = 'Eastern' "
+    "and x(cities.loc) > 500",
 ]
 
 

@@ -109,6 +109,69 @@ class TestPlanShapes:
             assert results[0] == results[1], op
 
 
+JOIN = ("select city, zone from cities, time-zones "
+        "on us-map, time-zone-map at cities.loc covered-by time-zones.loc")
+
+
+def _pushed(db, query):
+    plan = plan_query(db, parse(query))
+    join = (plan.access.children[0] if plan.access.kind == "extend-cross"
+            else plan.access)
+    return [(side, cond.left.column) for side, cond in
+            join.props.get("pushed", [])]
+
+
+class TestWherePushdown:
+    """Which leading where conjuncts the planner hands to a join side."""
+
+    @pytest.mark.parametrize("where, pushed", [
+        ("population > 5", [("cities", "population")]),
+        ("time-zones.hour-diff > 1 and cities.population > 5",
+         [("time-zones", "hour-diff"), ("cities", "population")]),
+        ("zone = 'x' and x(cities.loc) > 5 and population > 5",
+         [("time-zones", "zone")]),
+        ("population > hour-diff and zone = 'x'", []),
+        ("loc > 3 and population > 5", []),
+        ("(population > 5 or zone = 'x') and population > 5", []),
+        ("not (population > 5) and population > 5", []),
+        ("nosuch > 3 and population > 5", []),
+        ("states.population > 3 and population > 5", []),
+    ])
+    def test_leading_single_side_prefix(self, map_database, where, pushed):
+        assert _pushed(map_database, f"{JOIN} where {where}") == pushed
+
+    def test_label_shows_pushed_prefix(self, map_database):
+        plan = plan_query(map_database, parse(
+            f"{JOIN} where population > 5 and x(cities.loc) > 1"))
+        assert plan.access.label.endswith(" pushed [population > 5]")
+        assert plan.filter.label == (
+            "filter [population > 5 and x(cities.loc) > 1]")
+
+    def test_column_shared_with_third_relation_stays(self, map_database):
+        query = ("select city, zone, state from cities, time-zones, states "
+                 "on us-map, time-zone-map "
+                 "at cities.loc covered-by time-zones.loc")
+        # state is also a column of cities: ambiguous, so nothing pushed
+        assert _pushed(map_database,
+                       f"{query} where state = 'x' and zone = 'y'") == []
+        assert _pushed(map_database,
+                       f"{query} where zone = 'y' and state = 'x'") == [
+            ("time-zones", "zone")]
+
+    def test_pushdown_leaves_costs_and_choice(self, map_database):
+        bare = plan_query(map_database, parse(JOIN))
+        plan = plan_query(map_database, parse(f"{JOIN} where population > 5"))
+        assert plan.access.est_cost == bare.access.est_cost
+        assert plan.access.est_rows == bare.access.est_rows
+        assert plan.access.rejected == bare.access.rejected
+
+    def test_window_paths_push_nothing(self, map_database):
+        plan = plan_query(map_database, parse(
+            "select city from cities on us-map "
+            "at loc covered-by {500 ± 100, 300 ± 80} where population > 5"))
+        assert "pushed" not in plan.access.props
+
+
 class TestPlanCache:
     def test_repeated_query_reuses_plan(self, session):
         query = parse("select city from cities where city = 'X'")

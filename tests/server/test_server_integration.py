@@ -14,6 +14,9 @@ import time
 
 import pytest
 
+from repro.cluster.demo import demo_dataset
+from repro.cluster.launcher import LocalCluster
+from repro.cluster.router import Router, RouterConfig
 from repro.cluster.shardserver import ShardServer
 from repro.geometry import Point
 from repro.psql.executor import Session
@@ -41,6 +44,15 @@ def server(map_database):
     srv.start_background()
     yield srv
     srv.stop_background()
+
+
+def _wait_inflight(srv, n, timeout=10.0):
+    """Block until *srv* reports *n* admitted queries in flight."""
+    deadline = time.monotonic() + timeout
+    while srv.stats()["server.inflight"] != n:
+        assert time.monotonic() < deadline, \
+            f"server never had {n} queries in flight"
+        time.sleep(0.005)
 
 
 def _addr(srv):
@@ -322,7 +334,7 @@ class TestGracefulShutdown:
 
         t = threading.Thread(target=run_slow)
         t.start()
-        time.sleep(0.15)  # slow query is now in flight
+        _wait_inflight(srv, 1)
         srv.stop_background()
         t.join(timeout=10)
         assert "r" in result
@@ -356,6 +368,33 @@ class TestGracefulShutdown:
         finally:
             for c in clients:
                 c.close()
+        assert seen == []
+
+    def test_router_stop_with_open_connections_is_quiet(self):
+        # The router twin of the test above: idle client connections
+        # (after a routed query, so backend links are open too) must
+        # not leave cancelled handlers for asyncio.run to log.
+        seen = []
+
+        class Recording(Router):
+            async def _serve_until_stopped(self):
+                asyncio.get_running_loop().set_exception_handler(
+                    lambda _loop, context: seen.append(context))
+                await super()._serve_until_stopped()
+
+        with LocalCluster(demo_dataset(), nshards=2) as cluster:
+            router = Recording(RouterConfig(), cluster.dataset,
+                               cluster.shardmap, cluster.backends)
+            host, port = router.start_background()
+            clients = [Client(host, port) for _ in range(3)]
+            try:
+                assert all(c.ping() for c in clients)
+                assert clients[0].query(
+                    "select city from cities where population > 0").ok
+                router.stop_background()
+            finally:
+                for c in clients:
+                    c.close()
         assert seen == []
 
 
