@@ -29,6 +29,7 @@ import sys
 import time
 from typing import Optional
 
+from repro.relational.persistent import PersistentRelation
 from repro.server.server import ServerConfig
 from repro.cluster.client import ClusterClient
 from repro.cluster.dataset import ClusterDataset, build_database
@@ -127,12 +128,18 @@ class LocalCluster:
                              timeout=timeout)
 
     def stop(self) -> None:
+        """Stop every node, then close the primaries' heap files and WALs
+        (opened by :func:`~repro.cluster.dataset.build_database` when the
+        cluster has a *data_root*)."""
         self.router.stop_background()
         for shard_replicas in self.replicas:
             for replica in shard_replicas:
                 replica.stop_background()
         for shard in self.shards:
             shard.stop_background()
+            for relation in shard.service.db.relations():
+                if isinstance(relation, PersistentRelation):
+                    relation.close()
 
     def __enter__(self) -> "LocalCluster":
         return self

@@ -55,10 +55,12 @@ from typing import Optional, Sequence
 from repro import obs
 from repro.psql.errors import PsqlError
 from repro.psql.planner import merge_shard_plans
+from repro.psql.result import QueryResult
 from repro.relational.rowcodec import decode_row, encode_row
 from repro.server import binproto, protocol
 from repro.server.cache import QueryCache
 from repro.server.protocol import Response
+from repro.server.service import encode_body
 from repro.cluster.dataset import GID_COLUMN, ClusterDataset
 from repro.cluster.partition import ShardMap
 from repro.cluster.routing import (ClusterRoutingError, merge_knn,
@@ -99,32 +101,25 @@ class RouterConfig:
     #: seconds between replica STATS health refreshes (0 = every read)
     health_interval: float = 0.0
     drain_timeout: float = 5.0
-    #: negotiate the binary protocol (``HELLO bin``) on upstream shard
-    #: connections; shards that predate it answer ERR and the backend
-    #: silently stays on the text protocol.  The router's *client-facing*
-    #: side is text-only either way.
-    binary_upstream: bool = True
 
 
 class _Backend:
     """One router-side connection to a shard or replica server.
 
     The router keeps a single multiplexed connection per backend; a
-    per-backend asyncio lock serialises roundtrips on it.  Connection
-    failures drop the socket and surface as :class:`BackendDownError`;
-    the next command lazily reconnects, so a restarted shard heals
-    without router intervention.
+    per-backend asyncio lock serialises roundtrips on it.  Every
+    (re)connect negotiates ``HELLO bin`` and every command then travels
+    as a binary ``OP_COMMAND`` frame.  Connection failures — and a
+    backend that refuses the binary protocol — drop the socket and
+    surface as :class:`BackendDownError`; the next command lazily
+    reconnects, so a restarted shard heals without router intervention.
     """
 
-    def __init__(self, spec: BackendSpec, binary: bool = True):
+    def __init__(self, spec: BackendSpec):
         self.spec = spec
         self.lock = asyncio.Lock()
         self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
-        #: negotiate the binary protocol when (re)connecting
-        self.binary_wanted = binary
-        #: True once ``HELLO bin`` was acked on the live connection
-        self.binary = False
         #: last data generation seen in any response header from this
         #: backend (-1 until the first response) — the cache-token input.
         self.generation = -1
@@ -142,14 +137,8 @@ class _Backend:
                         asyncio.open_connection(self.spec.host,
                                                 self.spec.port),
                         timeout)
-                    self.binary = False
-                    if self.binary_wanted:
-                        await self._negotiate_binary(timeout)
-                if self.binary:
-                    response = await self._binary_roundtrip(command, timeout)
-                else:
-                    await self._send_line(command, timeout)
-                    response = await self._read_text_response(timeout)
+                    await self._negotiate_binary(timeout)
+                response = await self._binary_roundtrip(command, timeout)
             except (OSError, EOFError, asyncio.TimeoutError,
                     protocol.ProtocolError) as exc:
                 self.failures += 1
@@ -162,27 +151,23 @@ class _Backend:
             return response
 
     async def _negotiate_binary(self, timeout: float) -> None:
-        """Offer ``HELLO bin``; an ERR (pre-HELLO shard) keeps text."""
-        await self._send_line("HELLO bin", timeout)
-        response = await self._read_text_response(timeout)
-        if response.ok:
-            self.binary = True
+        """Send ``HELLO bin`` and read the text acknowledgement.
 
-    async def _send_line(self, command: str, timeout: float) -> None:
-        self.writer.write(command.encode("utf-8") + b"\n")
+        Raises:
+            ProtocolError: when the backend refuses the binary protocol.
+        """
+        self.writer.write(b"HELLO bin\n")
         await asyncio.wait_for(self.writer.drain(), timeout)
-
-    async def _read_text_response(self, timeout: float) -> Response:
         lines: list[str] = []
-        while True:
+        while not lines or lines[-1] != protocol.END:
             raw = await asyncio.wait_for(self.reader.readline(), timeout)
             if not raw:
                 raise ConnectionResetError("backend closed")
-            line = raw.decode("utf-8").rstrip("\n")
-            lines.append(line)
-            if line == protocol.END:
-                break
-        return protocol.parse_response(lines)
+            lines.append(raw.decode("utf-8").rstrip("\n"))
+        response = protocol.parse_response(lines)
+        if not response.ok:
+            raise protocol.ProtocolError(
+                f"refused HELLO bin: {response.error_message}")
 
     async def _binary_roundtrip(self, command: str,
                                 timeout: float) -> Response:
@@ -205,7 +190,6 @@ class _Backend:
             self.writer.close()
         self.reader = None
         self.writer = None
-        self.binary = False
 
 
 class Router:
@@ -231,7 +215,7 @@ class Router:
         self._replicas: dict[int, list[_Backend]] = {}
         self._backends: list[_Backend] = []
         for spec in backends:
-            backend = _Backend(spec, binary=config.binary_upstream)
+            backend = _Backend(spec)
             self._backends.append(backend)
             if spec.role == "primary":
                 if spec.shard_id in self._primaries:
@@ -478,9 +462,8 @@ class Router:
         cached = self.cache.get(plan.normalized, token)
         if cached is not None:
             self.registry.bump("router.queries.cached")
-            await self._write(
-                writer,
-                [f"{protocol.OK} cached 0 {cached.nrows}", *cached.payload])
+            await self._write_result(writer, "cached", cached.nrows,
+                                     cached.body)
             return
         backends = [await self._read_backend(sid) for sid in targets]
         responses = await asyncio.gather(
@@ -500,27 +483,11 @@ class Router:
             columns, rows = merge_rows([r.columns for r in responses],
                                        [r.rows for r in responses],
                                        plan.ngid)
-        payload = self._encode_string_rows(columns, rows)
-        self.cache.put(plan.normalized, token, payload, len(rows))
+        body = _text_body(columns, rows)
+        self.cache.put(plan.normalized, token, body, len(rows))
         self.registry.bump("router.queries.executed")
         self.registry.bump("router.rows_returned", len(rows))
-        await self._write(
-            writer, [f"{protocol.OK} fresh 0 {len(rows)}", *payload])
-
-    @staticmethod
-    def _encode_string_rows(columns: Sequence[str],
-                            rows: Sequence[tuple]) -> list[str]:
-        # Backend rows arrive as already-formatted strings; re-framing
-        # them (instead of protocol.encode_result, which would repr()
-        # strings) keeps router output byte-compatible with a single
-        # server's rendering of the same rows.
-        lines = [protocol.COLS + " "
-                 + "\t".join(protocol.escape(c) for c in columns)]
-        for row in rows:
-            lines.append(protocol.ROW + " "
-                         + "\t".join(protocol.escape(str(v)) for v in row))
-        lines.append(protocol.END)
-        return lines
+        await self._write_result(writer, "fresh", len(rows), body)
 
     async def _scatter_ok(self, writer: asyncio.StreamWriter,
                           backends: Sequence[_Backend],
@@ -577,9 +544,8 @@ class Router:
         cached = self.cache.get(normalized, token)
         if cached is not None:
             self.registry.bump("router.queries.cached")
-            await self._write(
-                writer,
-                [f"{protocol.OK} cached 0 {cached.nrows}", *cached.payload])
+            await self._write_result(writer, "cached", cached.nrows,
+                                     cached.body)
             return
         parts = rest.split()
         if len(parts) not in (5, 6):
@@ -605,11 +571,10 @@ class Router:
         merged = merge_knn(per_shard, k)
         rows = [(protocol.format_value(float(d)), str(g))
                 for d, g in merged]
-        payload = self._encode_string_rows(("distance", "gid"), rows)
-        self.cache.put(normalized, token, payload, len(rows))
+        body = _text_body(("distance", "gid"), rows)
+        self.cache.put(normalized, token, body, len(rows))
         self.registry.bump("router.rows_returned", len(rows))
-        await self._write(
-            writer, [f"{protocol.OK} fresh 0 {len(rows)}", *payload])
+        await self._write_result(writer, "fresh", len(rows), body)
 
     # -- mutations -----------------------------------------------------------
 
@@ -787,10 +752,9 @@ class Router:
                   for b in backends]
         lines = merge_shard_plans(
             labels, [[row[0] for row in r.rows] for r in responses])
-        payload = self._encode_string_rows((column,),
-                                           [(line,) for line in lines])
-        await self._write(
-            writer, [f"{protocol.OK} fresh 0 {len(lines)}", *payload])
+        await self._write_result(
+            writer, "fresh", len(lines),
+            _text_body((column,), [(line,) for line in lines]))
 
     # -- STATS ---------------------------------------------------------------
 
@@ -833,9 +797,30 @@ class Router:
         writer.write(("\n".join(lines) + "\n").encode("utf-8"))
         await writer.drain()
 
+    async def _write_result(self, writer: asyncio.StreamWriter,
+                            disposition: str, nrows: int,
+                            body: bytes) -> None:
+        """An OK header line, then a text reply body as encoded."""
+        writer.write(f"{protocol.OK} {disposition} 0 {nrows}\n"
+                     .encode("utf-8"))
+        writer.write(body)
+        await writer.drain()
+
     async def _error(self, writer: asyncio.StreamWriter, kind: str,
                      message: str) -> None:
         await self._write(
             writer,
             [f"{protocol.ERR} {kind} {protocol.escape(message)}",
              protocol.END])
+
+
+def _text_body(columns: Sequence[str], rows: list[tuple]) -> bytes:
+    """The client-facing text reply body of merged *rows*.
+
+    Merged cells are the wire strings the shards sent, and
+    :func:`~repro.server.protocol.format_value` passes a string through
+    unchanged, so this is byte-identical to a single server's rendering
+    of the same rows.
+    """
+    return encode_body(QueryResult(columns=tuple(columns), rows=rows),
+                       binary=False)

@@ -50,9 +50,8 @@ from repro.psql.result import QueryResult
 from repro.relational.catalog import Database
 from repro.relational.rowcodec import decode_row
 from repro.rtree.search import knn_search
-from repro.server import binproto, protocol
 from repro.server.server import PsqlServer, ServerConfig, _Connection
-from repro.server.service import STORAGE_ERRORS
+from repro.server.service import STORAGE_ERRORS, encode_body
 from repro.storage import failpoints
 from repro.cluster.dataset import GID_COLUMN
 from repro.cluster.replica import LogShipper
@@ -295,10 +294,8 @@ class ShardServer(PsqlServer):
             await self._write_error(conn, type(exc).__name__, str(exc))
             return
         result = QueryResult(columns=("distance", "gid"), rows=rows)
-        await self._reply_result(
-            conn, "fresh", self.generation, len(rows),
-            tuple(protocol.encode_result(result)),
-            binproto.encode_result_body(result))
+        await self._reply_result(conn, "fresh", self.generation, len(rows),
+                                 encode_body(result, conn.binary))
 
     def _do_knn(self, picture: str, relation_name: str, x: float,
                 y: float, k: int, column: str) -> list[tuple[float, int]]:

@@ -69,7 +69,7 @@ close, because the stream position itself can no longer be trusted.
 from __future__ import annotations
 
 import struct
-from typing import Any, Union
+from typing import Union
 
 from repro.psql.result import QueryResult
 from repro.server.protocol import ProtocolError, Response, format_value
@@ -86,7 +86,6 @@ __all__ = [
     "encode_query",
     "encode_result_body",
     "encode_simple",
-    "encode_string_rows_body",
     "frame",
     "frame_prefix",
     "ok_header",
@@ -287,17 +286,6 @@ def encode_result_body(result: QueryResult) -> bytes:
     parts.append(_U32.pack(len(result.rows)))
     for row in result.rows:
         parts.extend(_pack_str(format_value(v)) for v in row)
-    return b"".join(parts)
-
-
-def encode_string_rows_body(columns: tuple[str, ...],
-                            rows: list[tuple[Any, ...]]) -> bytes:
-    """A result body from already-formatted string rows (router merges)."""
-    parts = [_U16.pack(len(columns))]
-    parts.extend(_pack_str(c) for c in columns)
-    parts.append(_U32.pack(len(rows)))
-    for row in rows:
-        parts.extend(_pack_str(str(v)) for v in row)
     return b"".join(parts)
 
 

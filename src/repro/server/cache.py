@@ -3,44 +3,38 @@
 The paper's premise is a *static, packed* database: queries vastly
 outnumber updates, so identical queries recur and their encoded results
 can be replayed without touching the tree at all.  Entries are keyed on
-``(normalized query text, database generation)``; because every
-insert/delete/repack bumps the generation
+``(query key, database generation)``; because every insert/delete/repack
+bumps the generation
 (:attr:`repro.relational.catalog.Database.generation`), a stale entry
 can never be *served* — it simply stops being addressable and ages out
 of the LRU.
 
-The cache stores the **encoded payload lines** (see
-:func:`repro.server.protocol.encode_result`), not live
-``QueryResult`` objects: replaying a hit is a straight write of
-immutable strings, safe to share between connections and threads.
+The cache stores the **encoded reply body** in one framing (see
+:func:`repro.server.service.encode_body`), not live ``QueryResult``
+objects: replaying a hit is a straight write of immutable bytes, safe
+to share between connections and threads.  The framing is part of the
+query key the server builds, so a text body is never replayed to a
+binary connection or the other way round.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Optional
+from typing import Hashable, Optional
 
 __all__ = ["CachedResult", "QueryCache"]
 
 
 class CachedResult:
-    """One cached, fully encoded query result.
+    """One cached query result: its reply body, in one framing."""
 
-    ``payload`` holds the text-protocol lines; ``bbody`` the binary
-    result body (empty when the producer did not compute one).  Storing
-    both renderings means a cache hit needs zero conversion regardless
-    of which protocol the connection negotiated.
-    """
+    __slots__ = ("body", "nrows", "generation")
 
-    __slots__ = ("payload", "nrows", "generation", "bbody")
-
-    def __init__(self, payload: tuple[str, ...], nrows: int,
-                 generation: int, bbody: bytes = b""):
-        self.payload = payload
+    def __init__(self, body: bytes, nrows: int, generation: int):
+        self.body = body
         self.nrows = nrows
         self.generation = generation
-        self.bbody = bbody
 
 
 class QueryCache:
@@ -65,35 +59,33 @@ class QueryCache:
         self.misses = 0
         self.evictions = 0
         self.invalidated = 0
-        self._entries: OrderedDict[tuple[str, int], CachedResult] = \
-            OrderedDict()
+        self._entries: OrderedDict[tuple[Hashable, Hashable],
+                                   CachedResult] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, normalized: str, generation: int,
+    def get(self, key: Hashable, generation: Hashable,
             ) -> Optional[CachedResult]:
-        """The cached result for this query at this generation, if any."""
+        """The cached result for this query key at this generation."""
         if self.capacity == 0:
             return None
         with self._lock:
-            entry = self._entries.get((normalized, generation))
+            entry = self._entries.get((key, generation))
             if entry is None:
                 self.misses += 1
                 return None
-            self._entries.move_to_end((normalized, generation))
+            self._entries.move_to_end((key, generation))
             self.hits += 1
             return entry
 
-    def put(self, normalized: str, generation: int,
-            payload: tuple[str, ...], nrows: int,
-            bbody: bytes = b"") -> None:
-        """Store an encoded result (evicting the LRU entry when full)."""
+    def put(self, key: Hashable, generation: Hashable, body: bytes,
+            nrows: int) -> None:
+        """Store an encoded reply body (evicting the LRU entry when full)."""
         if self.capacity == 0:
             return
         with self._lock:
-            key = (normalized, generation)
-            self._entries[key] = CachedResult(payload, nrows, generation,
-                                              bbody)
-            self._entries.move_to_end(key)
+            entry_key = (key, generation)
+            self._entries[entry_key] = CachedResult(body, nrows, generation)
+            self._entries.move_to_end(entry_key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1

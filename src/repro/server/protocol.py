@@ -128,10 +128,11 @@ def format_value(value: Any) -> str:
 def encode_result(result: QueryResult) -> list[str]:
     """Render a query result as payload lines (``COLS``/``ROW``*/``END``).
 
-    This is the canonical serialisation: the server streams these lines
-    verbatim (and caches them verbatim), so comparing a client's payload
-    against ``encode_result(session.execute(text))`` is a byte-level
-    equivalence check.
+    This is the canonical serialisation: for text connections the
+    server writes these lines newline-joined (and caches those bytes),
+    so comparing a client's payload against
+    ``encode_result(session.execute(text))`` is a byte-level equivalence
+    check.
     """
     lines = [COLS + " " + "\t".join(escape(c) for c in result.columns)]
     for row in result.rows:

@@ -7,8 +7,8 @@ one ``QUERY`` line:
 
 1. normalise the text (a lexer error becomes an ``ERR`` frame, nothing
    is submitted);
-2. consult the LRU cache under ``(normalized, generation)`` — a hit is
-   streamed back without touching the pool;
+2. consult the LRU cache under ``((framing, normalized), generation)``
+   — a hit is streamed back without touching the pool;
 3. admission gate: if ``max_inflight`` queries already occupy the pool,
    answer ``BUSY`` *now* instead of queueing unboundedly (shed load at
    the edge; the client can back off and retry);
@@ -16,8 +16,9 @@ one ``QUERY`` line:
    ``TIMEOUT`` and abandons the task (cancelled outright if it has not
    started; a running worker finishes and its slot frees then — the
    gate tracks *actual* occupancy, so backpressure stays truthful);
-5. stream the framed result, cache it, and fold the worker's isolated
-   observability snapshot into the server-wide registry.
+5. write the reply header and the worker's body (encoded once, in this
+   connection's framing), cache the body, and fold the worker's
+   isolated observability snapshot into the server-wide registry.
 
 Every response is ``END``-terminated, so one bad query never
 desynchronises or kills a connection.  Shutdown is graceful: the
@@ -38,10 +39,11 @@ from repro.psql.errors import PsqlError
 from repro.psql.executor import Session
 from repro.psql.normalize import normalize_query
 from repro.psql.prepare import PreparedStatement
+from repro.psql.result import QueryResult
 from repro.relational.catalog import Database
 from repro.server import binproto, protocol
 from repro.server.cache import QueryCache
-from repro.server.service import STORAGE_ERRORS, QueryService
+from repro.server.service import STORAGE_ERRORS, QueryService, encode_body
 from repro import obs
 
 __all__ = ["PsqlServer", "ServerConfig"]
@@ -447,7 +449,7 @@ class PsqlServer:
                     else normalized)
         await self._run_query_job(
             conn, normalized,
-            lambda: self.service.submit(conn.session, text),
+            lambda: self.service.submit(conn.session, text, conn.binary),
             log_text=log_text)
 
     async def _run_query_job(self, conn: _Connection, cache_key,
@@ -456,13 +458,16 @@ class PsqlServer:
         """The shared cache/admission/submit/reply tail of a query.
 
         *cache_key* is any hashable — normalized text for QUERY, a
-        ``(template, params)`` tuple for EXECUTE.  *submit* is a
+        ``(template, params)`` tuple for EXECUTE; the connection's
+        framing is added to it, because the cache holds reply bodies in
+        the framing that produced them.  *submit* is a
         zero-argument callable returning the service future; it is only
         invoked on a cache miss that passes the admission gate.
         *log_text* (when given) records cache hits in the workload log —
         executed calls are recorded by the session itself.
         """
         generation = self.generation
+        cache_key = (conn.binary, cache_key)
         cached = self.cache.get(cache_key, generation)
         if cached is not None:
             self.registry.bump("server.queries.cached")
@@ -474,8 +479,7 @@ class PsqlServer:
                 # them here (call count only — nothing executed).
                 log.record_cached(log_text, cached.nrows)
             await self._reply_result(conn, "cached", generation,
-                                     cached.nrows, cached.payload,
-                                     cached.bbody)
+                                     cached.nrows, cached.body)
             return
 
         if self._draining:
@@ -547,10 +551,9 @@ class PsqlServer:
         self.registry.counters.merge(outcome.counters)
         self.registry.bump("server.queries.executed")
         self.registry.bump("server.rows_returned", outcome.nrows)
-        self.cache.put(cache_key, generation, outcome.payload,
-                       outcome.nrows, outcome.bbody)
+        self.cache.put(cache_key, generation, outcome.body, outcome.nrows)
         await self._reply_result(conn, "fresh", generation, outcome.nrows,
-                                 outcome.payload, outcome.bbody)
+                                 outcome.body)
 
     def _release_slot(self) -> None:
         self._inflight -= 1
@@ -633,7 +636,7 @@ class PsqlServer:
             conn, cache_key,
             lambda: self.service.submit_prepared(
                 conn.session, statement_id, params,
-                stmt.substitute(params)))
+                stmt.substitute(params), conn.binary))
 
     # -- the REPACK path -----------------------------------------------------
 
@@ -798,58 +801,43 @@ class PsqlServer:
     async def _write_report(self, conn: _Connection, column: str,
                             lines: list[str]) -> None:
         """Frame report *lines* as a fresh one-column result."""
-        from repro.psql.result import QueryResult
-
-        result = QueryResult(columns=(column,))
-        result.rows = [(line,) for line in lines]
-        await self._reply_result(
-            conn, "fresh", self.generation, len(lines),
-            tuple(protocol.encode_result(result)),
-            binproto.encode_result_body(result))
+        result = QueryResult(columns=(column,),
+                             rows=[(line,) for line in lines])
+        await self._reply_result(conn, "fresh", self.generation, len(lines),
+                                 encode_body(result, conn.binary))
 
     # -- frame writing (mode-aware) ------------------------------------------
 
     async def _write_lines(self, conn: _Connection,
                            lines: list[str] | tuple[str, ...]) -> None:
-        self._active_responses += 1
-        try:
-            conn.writer.write(("\n".join(lines) + "\n").encode("utf-8"))
-            await conn.writer.drain()
-        finally:
-            self._active_responses -= 1
+        await self._write_bytes(conn,
+                                ("\n".join(lines) + "\n").encode("utf-8"))
 
-    async def _write_bytes(self, conn: _Connection, data: bytes) -> None:
+    async def _write_bytes(self, conn: _Connection, *chunks: bytes) -> None:
         self._active_responses += 1
         try:
-            conn.writer.write(data)
+            for chunk in chunks:
+                conn.writer.write(chunk)
             await conn.writer.drain()
         finally:
             self._active_responses -= 1
 
     async def _reply_result(self, conn: _Connection, disposition: str,
                             generation: int, nrows: int,
-                            payload: tuple[str, ...],
-                            bbody: bytes) -> None:
-        """One OK-with-result response in whichever framing *conn* uses.
+                            body: bytes) -> None:
+        """One OK-with-result response: header, then *body* as given.
 
-        The binary path writes prefix, header and cached body as three
-        buffer appends — the body bytes are never copied or re-encoded.
+        *body* is already in *conn*'s framing (:func:`encode_body`), so
+        both framings write it as one buffer append — never copied,
+        joined or re-encoded, whether it is fresh or a cache hit.
         """
         if conn.binary:
             header = binproto.ok_header(disposition, generation, nrows)
-            self._active_responses += 1
-            try:
-                writer = conn.writer
-                writer.write(binproto.frame_prefix(len(header)
-                                                   + len(bbody)))
-                writer.write(header)
-                writer.write(bbody)
-                await writer.drain()
-            finally:
-                self._active_responses -= 1
-            return
-        header = f"{protocol.OK} {disposition} {generation} {nrows}"
-        await self._write_lines(conn, [header, *payload])
+            head = binproto.frame_prefix(len(header) + len(body)) + header
+        else:
+            head = (f"{protocol.OK} {disposition} {generation} {nrows}\n"
+                    .encode("utf-8"))
+        await self._write_bytes(conn, head, body)
 
     async def _reply_ack(self, conn: _Connection, disposition: str,
                          generation: int, count: int) -> None:

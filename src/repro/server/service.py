@@ -16,10 +16,11 @@ bytes.  Two pool flavours:
   scaling for a read-only/static serving shape (the paper's packed
   database); parent-side mutations are *not* propagated to workers.
 
-Either way a worker returns a plain :class:`QueryOutcome` — encoded
-payload lines plus an isolated observability snapshot — which is cheap
-to ship across a process boundary and trivial for the event loop to
-merge into server-wide metrics.
+Either way a worker returns a plain :class:`QueryOutcome` — one reply
+body, encoded by :func:`encode_body` in the framing of the connection
+that asked, plus an isolated observability snapshot — which is cheap to
+ship across a process boundary and trivial for the event loop to merge
+into server-wide metrics.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.server import binproto, protocol
 from repro.server.demo import DEFAULT_FACTORY_SPEC, resolve_factory
 from repro.storage import HeapFileError, InjectedFault, PagerError, WalError
 
-__all__ = ["QueryOutcome", "QueryService"]
+__all__ = ["QueryOutcome", "QueryService", "encode_body"]
 
 #: Storage-stack failures a query can surface.  They are reported as a
 #: framed ``ERR`` like any other failure — the connection survives and
@@ -53,40 +54,53 @@ STORAGE_ERRORS = (PagerError, WalError, HeapFileError, InjectedFault,
 class QueryOutcome:
     """What one worker produced for one query (always picklable)."""
 
-    payload: tuple[str, ...] = ()      #: COLS/ROW*/END lines
+    #: the reply body in the asking connection's framing (see
+    #: :func:`encode_body`)
+    body: bytes = b""
     nrows: int = 0
     error_kind: str = ""               #: exception class name, "" on success
     error_message: str = ""
     counters: dict[str, float] = field(default_factory=dict)
     cancelled: bool = False            #: abandoned before execution began
     io_fault: bool = False             #: failure came from the storage stack
-    #: binary-protocol result body (:func:`repro.server.binproto
-    #: .encode_result_body`), produced alongside the text lines so the
-    #: event loop and the result cache never re-encode
-    bbody: bytes = b""
 
     @property
     def ok(self) -> bool:
         return not self.error_kind and not self.cancelled
 
 
-def _outcome_from(execute: Callable[[], "QueryResult"]) -> QueryOutcome:
+def encode_body(result: QueryResult, binary: bool) -> bytes:
+    """The reply body of *result* in one framing.
+
+    Binary connections get :func:`repro.server.binproto
+    .encode_result_body`; text connections get the
+    :func:`repro.server.protocol.encode_result` lines as wire bytes
+    (``COLS``/``ROW``*/``END``, each newline-terminated).  Exactly one
+    encoder runs per result: the reply header is written in front of
+    this body, and the result cache replays it verbatim.
+    """
+    if binary:
+        return binproto.encode_result_body(result)
+    return ("\n".join(protocol.encode_result(result)) + "\n").encode("utf-8")
+
+
+def _outcome_from(execute: Callable[[], "QueryResult"],
+                  binary: bool) -> QueryOutcome:
     """Run one query callable under an isolated obs scope; never raises.
 
     ``forward=False`` keeps the scoped registry off the global chain:
     worker threads record into thread-local scopes and the single
     event-loop thread merges the returned snapshots, so concurrent
-    queries cannot interleave counters.  Both protocol renderings are
-    produced here, once, while the result object is still alive.
+    queries cannot interleave counters.  The reply body is encoded
+    here, once, in the asking connection's framing (*binary*), while
+    the result object is still alive.
     """
     try:
         with obs.scope(forward=False) as registry:
             result = execute()
-            payload = tuple(protocol.encode_result(result))
-            bbody = binproto.encode_result_body(result)
-        return QueryOutcome(payload=payload, nrows=len(result.rows),
-                            counters=dict(registry.snapshot()),
-                            bbody=bbody)
+            body = encode_body(result, binary)
+        return QueryOutcome(body=body, nrows=len(result.rows),
+                            counters=dict(registry.snapshot()))
     except PsqlError as exc:
         return QueryOutcome(error_kind=type(exc).__name__,
                             error_message=str(exc))
@@ -101,9 +115,10 @@ def _outcome_from(execute: Callable[[], "QueryResult"]) -> QueryOutcome:
                             error_message=str(exc))
 
 
-def _execute_to_outcome(session: Session, text: str) -> QueryOutcome:
+def _execute_to_outcome(session: Session, text: str,
+                        binary: bool) -> QueryOutcome:
     """Run one query text; see :func:`_outcome_from`."""
-    return _outcome_from(lambda: session.execute(text))
+    return _outcome_from(lambda: session.execute(text), binary)
 
 
 # -- process-pool worker side -------------------------------------------------
@@ -121,9 +136,9 @@ def _init_process_worker(factory_spec: str) -> None:
     obs.enable()
 
 
-def _run_in_process_worker(text: str) -> QueryOutcome:
+def _run_in_process_worker(text: str, binary: bool) -> QueryOutcome:
     assert _worker_session is not None, "worker initializer did not run"
-    return _execute_to_outcome(_worker_session, text)
+    return _execute_to_outcome(_worker_session, text, binary)
 
 
 # -- the service --------------------------------------------------------------
@@ -216,10 +231,12 @@ class QueryService:
             session.query_log = self.query_log
         return session
 
-    def submit(self, session: Session, text: str):
+    def submit(self, session: Session, text: str, binary: bool):
         """Submit one query; returns the ``concurrent.futures.Future``.
 
-        The future resolves to a :class:`QueryOutcome`.  A
+        The future resolves to a :class:`QueryOutcome` whose body is
+        encoded for a binary connection when *binary* is set, for a
+        text one otherwise.  A
         ``cancel_event`` set before the worker picks the task up makes
         it return a cancelled outcome without executing — the timeout
         path uses this so an abandoned-but-unstarted query does not
@@ -229,20 +246,21 @@ class QueryService:
             self.start()
         assert self._pool is not None
         if self.executor_kind == "process":
-            return self._pool.submit(_run_in_process_worker, text)
+            return self._pool.submit(_run_in_process_worker, text, binary)
         cancel_event = threading.Event()
 
         def run() -> QueryOutcome:
             if cancel_event.is_set():
                 return QueryOutcome(cancelled=True)
-            return _execute_to_outcome(session, text)
+            return _execute_to_outcome(session, text, binary)
 
         future = self._pool.submit(run)
         future.cancel_event = cancel_event  # type: ignore[attr-defined]
         return future
 
     def submit_prepared(self, session: Session, statement_id: int,
-                        params: tuple[str, ...], substituted: str):
+                        params: tuple[str, ...], substituted: str,
+                        binary: bool):
         """Submit one prepared-statement execution; returns the future.
 
         Thread mode runs :meth:`Session.execute_prepared` — the bound
@@ -255,14 +273,16 @@ class QueryService:
             self.start()
         assert self._pool is not None
         if self.executor_kind == "process":
-            return self._pool.submit(_run_in_process_worker, substituted)
+            return self._pool.submit(_run_in_process_worker, substituted,
+                                     binary)
         cancel_event = threading.Event()
 
         def run() -> QueryOutcome:
             if cancel_event.is_set():
                 return QueryOutcome(cancelled=True)
             return _outcome_from(
-                lambda: session.execute_prepared(statement_id, params))
+                lambda: session.execute_prepared(statement_id, params),
+                binary)
 
         future = self._pool.submit(run)
         future.cancel_event = cancel_event  # type: ignore[attr-defined]
@@ -288,10 +308,6 @@ class QueryService:
                 "rebuild in the parent would not update")
         return self.db.rebuild_index(picture, relation, column=column,
                                      method=method, workers=workers)
-
-    def execute_direct(self, text: str) -> QueryOutcome:
-        """Run one query synchronously on the calling thread."""
-        return _execute_to_outcome(self.make_session(), text)
 
     def close(self, wait: bool = True) -> None:
         """Shut the pool down (idempotent)."""

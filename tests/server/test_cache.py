@@ -5,32 +5,32 @@ import pytest
 from repro.server.cache import QueryCache
 
 
-PAYLOAD = ("COLS a", "ROW 1", "END")
+BODY = b"COLS a\nROW 1\nEND\n"
 
 
 class TestQueryCache:
     def test_miss_then_hit(self):
         cache = QueryCache(capacity=4)
         assert cache.get("q", 0) is None
-        cache.put("q", 0, PAYLOAD, 1)
+        cache.put("q", 0, BODY, 1)
         entry = cache.get("q", 0)
         assert entry is not None
-        assert entry.payload == PAYLOAD
+        assert entry.body == BODY
         assert entry.nrows == 1
         assert cache.hits == 1 and cache.misses == 1
 
     def test_generation_isolates_entries(self):
         cache = QueryCache(capacity=4)
-        cache.put("q", 0, PAYLOAD, 1)
+        cache.put("q", 0, BODY, 1)
         assert cache.get("q", 1) is None      # newer generation: stale
         assert cache.get("q", 0) is not None  # old key still addressable
 
     def test_lru_eviction_order(self):
         cache = QueryCache(capacity=2)
-        cache.put("a", 0, PAYLOAD, 1)
-        cache.put("b", 0, PAYLOAD, 1)
+        cache.put("a", 0, BODY, 1)
+        cache.put("b", 0, BODY, 1)
         assert cache.get("a", 0) is not None  # refresh a; b becomes LRU
-        cache.put("c", 0, PAYLOAD, 1)
+        cache.put("c", 0, BODY, 1)
         assert cache.get("b", 0) is None
         assert cache.get("a", 0) is not None
         assert cache.get("c", 0) is not None
@@ -38,7 +38,7 @@ class TestQueryCache:
 
     def test_capacity_zero_disables(self):
         cache = QueryCache(capacity=0)
-        cache.put("q", 0, PAYLOAD, 1)
+        cache.put("q", 0, BODY, 1)
         assert cache.get("q", 0) is None
         assert len(cache) == 0
         assert cache.hits == 0 and cache.misses == 0
@@ -49,9 +49,9 @@ class TestQueryCache:
 
     def test_drop_stale(self):
         cache = QueryCache(capacity=8)
-        cache.put("a", 0, PAYLOAD, 1)
-        cache.put("b", 1, PAYLOAD, 1)
-        cache.put("c", 2, PAYLOAD, 1)
+        cache.put("a", 0, BODY, 1)
+        cache.put("b", 1, BODY, 1)
+        cache.put("c", 2, BODY, 1)
         dropped = cache.drop_stale(current_generation=2)
         assert dropped == 2
         assert len(cache) == 1
@@ -59,7 +59,7 @@ class TestQueryCache:
 
     def test_hit_rate_and_stats(self):
         cache = QueryCache(capacity=4)
-        cache.put("q", 0, PAYLOAD, 1)
+        cache.put("q", 0, BODY, 1)
         cache.get("q", 0)
         cache.get("other", 0)
         assert cache.hit_rate == pytest.approx(0.5)
@@ -90,7 +90,7 @@ class TestConcurrentStats:
             n = 0
             while not stop.is_set():
                 key = f"q{(seed * 31 + n) % 100}"
-                cache.put(key, 0, PAYLOAD, 1)
+                cache.put(key, 0, BODY, 1)
                 cache.get(key, 0)
                 cache.get(f"miss{n}", 0)
                 if n % 50 == 0:
@@ -133,7 +133,7 @@ class TestConcurrentStats:
         import threading
 
         cache = QueryCache(capacity=4)
-        cache.put("q", 0, PAYLOAD, 1)
+        cache.put("q", 0, BODY, 1)
         in_critical = threading.Event()
         release = threading.Event()
 
